@@ -208,7 +208,9 @@ impl ExperimentEnv {
 
     /// A deterministic RNG derived from the master seed and a label.
     pub fn rng(&self, stream: &str) -> StdRng {
-        // Derive a stream-specific seed with FNV-style mixing.
+        // Derive a stream-specific seed with FNV-style mixing. The
+        // multiplier is not the FNV-1a 64 prime; changing it would move
+        // every experiment's RNG streams.
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
         for b in stream.bytes() {
             h ^= u64::from(b);

@@ -71,12 +71,7 @@ const ENVELOPE_VERSION: u32 = 1;
 /// catches the failure modes a serving host actually has (truncation,
 /// torn writes, bit rot), at a cost of one pass over the payload.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    lvp_dataframe::fnv1a64_extend(lvp_dataframe::FNV1A64_OFFSET, bytes)
 }
 
 /// Wraps a serialized payload in the checksummed, length-framed artifact

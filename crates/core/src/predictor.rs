@@ -502,21 +502,6 @@ impl PerformancePredictor {
         self.metric
     }
 
-    /// Convenience: raises an alarm when the estimated serving score drops
-    /// below `(1.0 - threshold) * test_score` — `threshold` is a
-    /// *relative* drop fraction of the test score, not an absolute score
-    /// difference (a doc/code mismatch in earlier releases).
-    #[deprecated(
-        note = "a hand-tuned relative threshold must be widened to absorb the \
-                predictor's own calibration noise; use predict_interval (or \
-                the monitor's interval alarm policy) and check whether \
-                test_score sits inside the serving interval instead"
-    )]
-    pub fn alarm(&self, serving: &DataFrame, threshold: f64) -> Result<bool, CoreError> {
-        let estimate = self.predict(serving)?;
-        Ok(estimate < (1.0 - threshold) * self.test_score)
-    }
-
     /// Miscoverage rate of the predictor's score intervals.
     pub fn interval_alpha(&self) -> f64 {
         self.interval_alpha
@@ -619,27 +604,6 @@ mod tests {
         assert!(
             corrupt_est < clean_est - 0.1,
             "clean {clean_est} vs corrupt {corrupt_est}"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn alarm_fires_only_under_corruption() {
-        // Regression test on the deprecated legacy semantics: `threshold`
-        // is a *relative* drop fraction of the test score.
-        let (predictor, serving) = fitted_predictor();
-        assert!(!predictor.alarm(&serving, 0.10).unwrap());
-        let mut corrupted = serving.clone();
-        for row in 0..corrupted.n_rows() {
-            corrupted.column_mut(1).set_null(row);
-        }
-        assert!(predictor.alarm(&corrupted, 0.10).unwrap());
-        // The legacy cutoff is relative: estimate < (1 - t) · test_score.
-        let estimate = predictor.predict(&corrupted).unwrap();
-        let relative_cutoff = (1.0 - 0.10) * predictor.test_score();
-        assert_eq!(
-            predictor.alarm(&corrupted, 0.10).unwrap(),
-            estimate < relative_cutoff
         );
     }
 

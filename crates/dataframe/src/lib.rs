@@ -25,6 +25,21 @@ pub use csv::{read_csv_file, read_csv_str, write_csv_string, CsvOptions};
 pub use frame::{toy_frame, ColumnId, DataFrame, DataFrameBuilder};
 pub use schema::{ColumnType, Field, Schema};
 
+/// FNV-1a 64 offset basis: the initial state for [`fnv1a64_extend`].
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a 64 hash state (start from
+/// [`FNV1A64_OFFSET`]). The one implementation behind schema
+/// fingerprints, batch content keys and the artifact and journal
+/// checksums; hashing a message in pieces equals hashing it whole.
+#[inline]
+pub fn fnv1a64_extend(state: u64, bytes: &[u8]) -> u64 {
+    const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV1A64_PRIME)
+    })
+}
+
 /// Errors produced by dataframe construction and access.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {

@@ -119,26 +119,18 @@ impl Schema {
     /// FNV-1a over the field list, truncated to 53 bits so the value
     /// survives a round trip through JSON numbers exactly.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
+        let mut hash = crate::FNV1A64_OFFSET;
         for field in &self.fields {
-            for &b in field.name.as_bytes() {
-                eat(b);
-            }
-            // Separator that cannot occur inside a UTF-8 name, so
-            // ("ab", Numeric), ("a", ...) cannot collide by concatenation.
-            eat(0xff);
-            eat(match field.ty {
+            let ty = match field.ty {
                 ColumnType::Numeric => 0,
                 ColumnType::Categorical => 1,
                 ColumnType::Text => 2,
                 ColumnType::Image => 3,
-            });
+            };
+            // The 0xff separator cannot occur inside a UTF-8 name, so
+            // ("ab", Numeric), ("a", ...) cannot collide by concatenation.
+            hash = crate::fnv1a64_extend(hash, field.name.as_bytes());
+            hash = crate::fnv1a64_extend(hash, &[0xff, ty]);
         }
         hash & ((1 << 53) - 1)
     }

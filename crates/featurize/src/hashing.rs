@@ -1,6 +1,8 @@
 //! Tokenization and feature hashing for text attributes.
 
-/// 64-bit FNV-1a hash, the bucket function of the hashing vectorizer.
+/// 64-bit FNV-1a-style hash, the bucket function of the hashing vectorizer.
+/// Its multiplier `0x1000000001b3` is not the FNV-1a 64 prime; changing it
+/// would move every hashing-vectorizer bucket.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x1000_0000_01b3;

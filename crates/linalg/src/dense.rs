@@ -154,7 +154,7 @@ impl DenseMatrix {
     /// Dense matrix multiplication `self * other`, parallelized over rows.
     ///
     /// Two kernels, dispatched on output width (see
-    /// [`PACKED_MATMUL_MAX_COLS`]): a *streaming* kernel that makes one
+    /// `PACKED_MATMUL_MAX_COLS`): a *streaming* kernel that makes one
     /// pass over `k` per row, vectorizing across output columns and
     /// skipping zero entries of `self` (ReLU activations make `self`
     /// sparse in practice), and — for narrow outputs, where that inner

@@ -30,7 +30,7 @@
 //! telemetry views.
 
 use crate::{BlackBoxModel, ModelError, ModelErrorKind};
-use lvp_dataframe::{Column, DataFrame};
+use lvp_dataframe::{fnv1a64_extend, Column, DataFrame, FNV1A64_OFFSET};
 use lvp_linalg::DenseMatrix;
 use lvp_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,39 +83,20 @@ pub fn mix64(mut z: u64) -> u64 {
 /// counter, so the fault/retry schedule of a logical request does not
 /// depend on how rayon interleaves requests across threads.
 pub fn frame_content_key(frame: &DataFrame) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ frame.schema().fingerprint();
-    let mut eat = |word: u64| {
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            hash ^= (word >> shift) & 0xFF;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(frame.n_rows() as u64);
-    for &label in frame.labels() {
-        eat(u64::from(label));
-    }
-    let eat_opt_f64 = |hash: &mut u64, v: Option<f64>| {
-        let word = v.map_or(u64::MAX, f64::to_bits);
-        for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            *hash ^= (word >> shift) & 0xFF;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    // Words are eaten in little-endian byte order; `None` cells hash as
+    // `u64::MAX` (numeric) or the `0xFF` marker (string), and every string
+    // ends with a `0xFE` terminator.
+    let eat = |hash: &mut u64, word: u64| *hash = fnv1a64_extend(*hash, &word.to_le_bytes());
+    let eat_opt_f64 = |hash: &mut u64, v: Option<f64>| eat(hash, v.map_or(u64::MAX, f64::to_bits));
     let eat_opt_str = |hash: &mut u64, v: Option<&String>| match v {
-        None => {
-            *hash ^= 0xFF;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        Some(s) => {
-            for &b in s.as_bytes() {
-                *hash ^= u64::from(b);
-                *hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            *hash ^= 0xFE;
-            *hash = hash.wrapping_mul(FNV_PRIME);
-        }
+        None => *hash = fnv1a64_extend(*hash, &[0xFF]),
+        Some(s) => *hash = fnv1a64_extend(fnv1a64_extend(*hash, s.as_bytes()), &[0xFE]),
     };
+    let mut hash = FNV1A64_OFFSET ^ frame.schema().fingerprint();
+    eat(&mut hash, frame.n_rows() as u64);
+    for &label in frame.labels() {
+        eat(&mut hash, u64::from(label));
+    }
     for col in 0..frame.n_cols() {
         match frame.column(col) {
             Column::Numeric(values) => {
@@ -260,10 +241,12 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Circuit breaker state of a [`ResilientModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Circuit breaker state of a [`ResilientModel`] (and of lvpd's
+/// per-tenant admission gates).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CircuitState {
     /// Calls flow through; consecutive terminal failures are counted.
+    #[default]
     Closed,
     /// Calls are rejected without touching the endpoint until the cooldown
     /// elapses on the virtual clock.
@@ -274,7 +257,9 @@ pub enum CircuitState {
 }
 
 impl CircuitState {
-    fn gauge_value(self) -> f64 {
+    /// Numeric encoding for breaker-state gauges: `0` closed, `1` open,
+    /// `2` half-open.
+    pub fn gauge_value(self) -> f64 {
         match self {
             CircuitState::Closed => 0.0,
             CircuitState::Open => 1.0,

@@ -27,10 +27,14 @@
 use crate::journal::{scan_journal, FsyncPolicy, Journal, JournalFaultPlan, JournalOp};
 use crate::protocol::{DeploymentEntry, MonitorKey, RegistrySnapshot, Request, Response};
 use lvp_core::{
-    feature_dimensionality, load_json, save_json, BatchMonitor, ServingArtifact, ARTIFACT_VERSION,
+    feature_dimensionality, load_json, save_json, BatchMonitor, BatchReport, ServingArtifact,
+    ARTIFACT_VERSION,
 };
 use lvp_linalg::DenseMatrix;
-use lvp_models::{mix64, BlackBoxModel, BreakerConfig, CircuitState, ModelError, VirtualClock};
+use lvp_models::{
+    mix64, validate_probability_matrix, BlackBoxModel, BreakerConfig, CircuitState, ModelError,
+    VirtualClock,
+};
 use lvp_telemetry::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -214,52 +218,56 @@ impl RecoveryReport {
 /// save/restore cycle with no extra state.
 #[derive(Debug, Clone, Default)]
 struct TenantGate {
-    state: GateState,
+    state: CircuitState,
     consecutive_overflows: u32,
     half_open_successes: u32,
     opened_at_nanos: u64,
     sheds: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum GateState {
-    #[default]
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-impl GateState {
-    fn circuit(self) -> CircuitState {
-        match self {
-            GateState::Closed => CircuitState::Closed,
-            GateState::Open => CircuitState::Open,
-            GateState::HalfOpen => CircuitState::HalfOpen,
-        }
-    }
-
-    /// Numeric encoding for the per-tenant breaker gauge.
-    fn gauge_value(self) -> f64 {
-        match self {
-            GateState::Closed => 0.0,
-            GateState::Open => 1.0,
-            GateState::HalfOpen => 2.0,
-        }
-    }
-}
-
-struct Deployment {
-    monitor: BatchMonitor,
-}
-
 #[derive(Default)]
 struct Inner {
-    deployments: BTreeMap<MonitorKey, Deployment>,
+    deployments: BTreeMap<MonitorKey, BatchMonitor>,
     tenants: BTreeMap<String, TenantGate>,
     /// The write-ahead journal, when durability is configured. Living
     /// under the state mutex guarantees append order == application
     /// order, which is what makes replay bit-identical.
     journal: Option<Journal>,
+}
+
+/// How the response to an admitted op is built once it is applied.
+enum Answer {
+    /// `register`: names the installed deployment.
+    Registered,
+    /// An accepted observe — a success signal for the tenant's breaker.
+    Observed,
+    /// `finish`: publishes the tenant's gate even when no window was open.
+    Finished,
+    /// Admission control shed the request; the op is the shed's effect.
+    Shed {
+        retry_after_nanos: u64,
+        reason: String,
+    },
+}
+
+/// What applying one op produced, for the response.
+struct Applied {
+    report: Option<BatchReport>,
+    batches_seen: usize,
+}
+
+impl Applied {
+    fn into_response(self) -> Response {
+        let mut r = Response::ok();
+        r.report = self.report;
+        r.batches_seen = Some(self.batches_seen);
+        r
+    }
+}
+
+/// An error response, boxed for the admission `Result`s.
+fn reject(message: impl Into<String>) -> Box<Response> {
+    Box::new(Response::error(message))
 }
 
 /// Daemon-level request counters (all deterministic in the request
@@ -316,7 +324,9 @@ pub struct Daemon {
     shutdown: AtomicBool,
 }
 
-/// FNV-1a over a tenant name, for per-tenant jitter derivation.
+/// FNV-style hash of a tenant name, for per-tenant jitter derivation.
+/// Its multiplier `0x1000001b3` is not the FNV-1a 64 prime; changing it
+/// would move every tenant's retry-after jitter.
 fn tenant_hash(tenant: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in tenant.as_bytes() {
@@ -365,29 +375,36 @@ impl Daemon {
     /// `journal_epoch` in the file is ignored; use [`Self::recover`] for
     /// the full snapshot + journal-replay startup.
     pub fn with_state_file(config: DaemonConfig, path: impl AsRef<Path>) -> Result<Self, String> {
-        let snapshot: RegistrySnapshot = load_json(path.as_ref()).map_err(|e| e.to_string())?;
+        let daemon = Self::new(config);
+        daemon.load_snapshot(path.as_ref())?;
+        Ok(daemon)
+    }
+
+    /// The one snapshot loader behind [`Self::with_state_file`] and
+    /// [`Self::recover`]: checks the file's version and installs every
+    /// deployment. Returns the snapshot's journal epoch.
+    fn load_snapshot(&self, path: &Path) -> Result<Option<u64>, String> {
+        let snapshot: RegistrySnapshot = load_json(path).map_err(|e| e.to_string())?;
         if snapshot.version == 0 || snapshot.version > ARTIFACT_VERSION {
             return Err(format!(
                 "unsupported registry snapshot version {} (supported: 1..={ARTIFACT_VERSION})",
                 snapshot.version
             ));
         }
-        let daemon = Self::new(config);
-        {
-            let mut inner = daemon.lock_inner();
-            for entry in snapshot.deployments {
-                daemon.install(&mut inner, entry.key, entry.artifact)?;
-            }
+        let mut inner = self.lock_inner();
+        for entry in snapshot.deployments {
+            self.install(&mut inner, entry.key, entry.artifact)?;
         }
-        Ok(daemon)
+        Ok(snapshot.journal_epoch)
     }
 
     /// Crash-recovering startup: loads the last registry snapshot (if the
     /// configured file exists), replays the write-ahead journal tail over
     /// it, truncates any damaged tail to the last durable record, and
-    /// leaves the journal open for appending. Monitors are deterministic,
-    /// so the recovered registry is bit-identical to the pre-crash one up
-    /// to the last durable journal record.
+    /// leaves the journal open for appending. Replay runs every record
+    /// through the same `apply_op` that live requests use, so the
+    /// recovered registry is bit-identical to the pre-crash one up to the
+    /// last durable journal record.
     ///
     /// Defects are never fatal: a torn or bit-flipped tail is classified
     /// and truncated ([`RecoveryReport::tail_defect`], `journal.tail_*`
@@ -403,21 +420,12 @@ impl Daemon {
         let mut epoch = 0u64;
 
         if let Some(path) = durability.snapshot_path.as_deref().filter(|p| p.exists()) {
-            let snapshot: RegistrySnapshot =
-                load_json(path).map_err(|e| format!("recover registry snapshot: {e}"))?;
-            if snapshot.version == 0 || snapshot.version > ARTIFACT_VERSION {
-                return Err(format!(
-                    "unsupported registry snapshot version {} (supported: 1..={ARTIFACT_VERSION})",
-                    snapshot.version
-                ));
-            }
-            epoch = snapshot.journal_epoch.unwrap_or(0);
-            let mut inner = daemon.lock_inner();
-            for entry in snapshot.deployments {
-                daemon.install(&mut inner, entry.key, entry.artifact)?;
-            }
+            epoch = daemon
+                .load_snapshot(path)
+                .map_err(|e| format!("recover registry snapshot: {e}"))?
+                .unwrap_or(0);
             report.snapshot_loaded = true;
-            report.snapshot_deployments = inner.deployments.len();
+            report.snapshot_deployments = daemon.lock_inner().deployments.len();
         }
 
         if let Some(jpath) = durability.journal_path.as_deref() {
@@ -464,28 +472,14 @@ impl Daemon {
             daemon.lock_inner().journal = Some(journal);
         }
 
-        daemon
-            .metrics
-            .journal_replayed
-            .add(report.records_replayed as u64);
-        daemon
-            .metrics
-            .journal_replay_errors
-            .add(report.replay_op_errors as u64);
-        daemon
-            .metrics
-            .journal_stale_skipped
-            .add(report.records_stale as u64);
-        daemon
-            .metrics
-            .journal_future_skipped
-            .add(report.records_future as u64);
+        let m = &daemon.metrics;
+        m.journal_replayed.add(report.records_replayed as u64);
+        m.journal_replay_errors.add(report.replay_op_errors as u64);
+        m.journal_stale_skipped.add(report.records_stale as u64);
+        m.journal_future_skipped.add(report.records_future as u64);
         if report.tail_defect.is_some() {
-            daemon.metrics.journal_tail_defects.inc();
-            daemon
-                .metrics
-                .journal_tail_truncated
-                .add(report.truncated_tail_bytes);
+            m.journal_tail_defects.inc();
+            m.journal_tail_truncated.add(report.truncated_tail_bytes);
         }
         Ok((daemon, report))
     }
@@ -521,11 +515,15 @@ impl Daemon {
     /// The tenant's current admission circuit state (`Closed` for tenants
     /// the daemon has never seen).
     pub fn tenant_circuit(&self, tenant: &str) -> CircuitState {
-        self.lock_inner()
+        Self::circuit_locked(&self.lock_inner(), tenant)
+    }
+
+    fn circuit_locked(inner: &Inner, tenant: &str) -> CircuitState {
+        inner
             .tenants
             .get(tenant)
-            .map(|gate| gate.state.circuit())
-            .unwrap_or(CircuitState::Closed)
+            .map(|gate| gate.state)
+            .unwrap_or_default()
     }
 
     /// Whether a `shutdown` request has been received.
@@ -616,9 +614,7 @@ impl Daemon {
 
     fn dispatch(&self, request: Request) -> Response {
         match request.verb.as_str() {
-            "register" => self.register(request),
-            "observe" => self.observe(request),
-            "finish" => self.finish(request),
+            "register" | "observe" | "finish" => self.mutate(request),
             "history" => self.history(request),
             "metrics" => self.metrics(),
             "list" => self.list(),
@@ -633,11 +629,229 @@ impl Daemon {
         }
     }
 
+    /// The single mutation path. Admission turns the request into exactly
+    /// one [`JournalOp`]; the op is appended to the write-ahead journal and
+    /// then applied by the same [`Self::apply_op`] that recovery replays,
+    /// so live and replayed state agree by construction.
+    fn mutate(&self, request: Request) -> Response {
+        let key = match Self::require_key(&request) {
+            Ok(key) => key,
+            Err(resp) => return *resp,
+        };
+        let now = self.clock.now_nanos();
+        let mut inner = self.lock_inner();
+        let inner = &mut *inner;
+        let (op, answer) = match self.admit(inner, &key, request, now) {
+            Ok(admitted) => admitted,
+            Err(resp) => return *resp,
+        };
+        if let Err(resp) = self.journal_append(inner, &op) {
+            return *resp;
+        }
+        let applied = self.apply_op(inner, op);
+        match (answer, applied) {
+            (
+                Answer::Shed {
+                    retry_after_nanos,
+                    reason,
+                },
+                Ok(applied),
+            ) => {
+                let mut resp = Response::shed(retry_after_nanos, reason);
+                resp.report = applied.report;
+                self.note_shed(&key.tenant);
+                resp.pending_chunks = Some(self.publish_gate(inner, &key.tenant));
+                resp
+            }
+            (Answer::Finished, applied) => {
+                let pending = self.publish_gate(inner, &key.tenant);
+                applied.map_or_else(Response::error, |applied| {
+                    let mut r = applied.into_response();
+                    r.pending_chunks = Some(pending);
+                    r
+                })
+            }
+            (_, Err(message)) => Response::error(message),
+            (Answer::Registered, Ok(applied)) => {
+                let mut r = applied.into_response();
+                r.message = Some(format!("registered {key}"));
+                r
+            }
+            (Answer::Observed, Ok(applied)) => {
+                self.note_accepted(inner, &key.tenant);
+                let mut r = applied.into_response();
+                r.pending_chunks = Some(self.publish_gate(inner, &key.tenant));
+                r
+            }
+        }
+    }
+
+    /// Admission: checks a mutating request and turns it into the one
+    /// [`JournalOp`] describing its effect, moving the request's payload
+    /// into the op. A shed becomes its effect ([`Self::shed`]) with the
+    /// literal reason, so replay needs no gate state. Rejections journal
+    /// nothing and mutate no monitor; the tenant gate's breaker
+    /// bookkeeping is live-only and happens here.
+    fn admit(
+        &self,
+        inner: &mut Inner,
+        key: &MonitorKey,
+        request: Request,
+        now: u64,
+    ) -> Result<(JournalOp, Answer), Box<Response>> {
+        if request.verb == "register" {
+            let artifact = request
+                .artifact
+                .ok_or_else(|| reject("register requires an artifact"))?;
+            let key = key.clone();
+            return Ok((JournalOp::Register { key, artifact }, Answer::Registered));
+        }
+        let n_classes = inner
+            .deployments
+            .get(key)
+            .ok_or_else(|| reject(format!("unknown deployment {key}")))?
+            .predictor()
+            .n_classes();
+        if request.verb == "finish" {
+            // Journaled even when no window is open: the apply error is a
+            // no-op on monitor state, and replay reproduces it.
+            return Ok((JournalOp::Finish { key: key.clone() }, Answer::Finished));
+        }
+        let mode_count = usize::from(request.outputs.is_some())
+            + usize::from(request.chunk.is_some())
+            + usize::from(request.estimate.is_some())
+            + usize::from(request.interval.is_some());
+        if mode_count != 1 {
+            return Err(reject(
+                "observe requires exactly one of outputs, chunk, estimate or interval",
+            ));
+        }
+
+        // Breaker check first: an open breaker sheds every observe form.
+        let gate = inner.tenants.entry(key.tenant.clone()).or_default();
+        if gate.state == CircuitState::Open {
+            let elapsed = now.saturating_sub(gate.opened_at_nanos);
+            if elapsed < self.config.breaker.cooldown_nanos {
+                let retry = self.config.breaker.cooldown_nanos - elapsed;
+                gate.sheds += 1;
+                let reason = format!(
+                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
+                    key.tenant
+                );
+                let chunk = request.chunk.is_some();
+                return Ok(Self::shed(key, chunk, retry, reason));
+            }
+            gate.state = CircuitState::HalfOpen;
+            gate.half_open_successes = 0;
+        }
+
+        let key = key.clone();
+        let op = if let Some(rows) = request.outputs {
+            Self::check_outputs(&rows, "outputs")?;
+            JournalOp::ObserveOutputs { key, rows }
+        } else if let Some(rows) = request.chunk {
+            if let Some(shed) = self.admit_overflow(inner, &key, now) {
+                return Ok(shed);
+            }
+            let proba = Self::check_outputs(&rows, "chunk")?;
+            if proba.rows() > 0 && proba.cols() != n_classes {
+                return Err(reject(format!(
+                    "chunk has {} columns but {key} serves {n_classes} classes",
+                    proba.cols(),
+                )));
+            }
+            JournalOp::ObserveChunk { key, rows }
+        } else if let Some(interval) = request.interval {
+            // The monitor validates external intervals before they touch
+            // any alarm state: a malformed one is journaled, errors without
+            // consuming a batch index, and replays into the same no-op.
+            JournalOp::ObserveInterval { key, interval }
+        } else {
+            let estimate = request.estimate.expect("mode checked above");
+            JournalOp::ObserveEstimate { key, estimate }
+        };
+        Ok((op, Answer::Observed))
+    }
+
+    /// The overflow shed: a chunk beyond the tenant's in-flight budget
+    /// counts against the breaker and becomes an `AbandonWindow` of the
+    /// window it belonged to. `None` while the tenant is within budget.
+    fn admit_overflow(
+        &self,
+        inner: &mut Inner,
+        key: &MonitorKey,
+        now: u64,
+    ) -> Option<(JournalOp, Answer)> {
+        let pending = Self::tenant_pending(inner, &key.tenant);
+        if pending < self.config.queue_capacity {
+            return None;
+        }
+        let gate = inner.tenants.entry(key.tenant.clone()).or_default();
+        gate.sheds += 1;
+        match gate.state {
+            CircuitState::Closed => {
+                gate.consecutive_overflows += 1;
+                if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
+                    gate.state = CircuitState::Open;
+                    gate.opened_at_nanos = now;
+                }
+            }
+            CircuitState::HalfOpen => {
+                // A failed probe re-opens immediately.
+                gate.state = CircuitState::Open;
+                gate.opened_at_nanos = now;
+            }
+            CircuitState::Open => {}
+        }
+        let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
+        let reason = format!(
+            "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
+            key.tenant, self.config.queue_capacity
+        );
+        Some(Self::shed(key, true, retry, reason))
+    }
+
+    /// A shed as the op recording its effect: a shed chunk poisons its
+    /// window (degrade, never drop: the window must not finish as if it
+    /// saw every chunk), any other shed observe is a degraded batch.
+    fn shed(key: &MonitorKey, chunk: bool, retry: u64, reason: String) -> (JournalOp, Answer) {
+        let (key, effect) = (key.clone(), reason.clone());
+        let op = if chunk {
+            JournalOp::AbandonWindow {
+                key,
+                reason: effect,
+            }
+        } else {
+            JournalOp::ObserveDegraded {
+                key,
+                reason: effect,
+            }
+        };
+        let answer = Answer::Shed {
+            retry_after_nanos: retry,
+            reason,
+        };
+        (op, answer)
+    }
+
+    /// Pre-append check of submitted model output rows: they must form a
+    /// matrix and, when non-empty, satisfy the probability contract of
+    /// [`validate_probability_matrix`]. A failing batch is answered with an
+    /// error and never reaches the journal or the monitor.
+    fn check_outputs(rows: &[Vec<f64>], what: &str) -> Result<DenseMatrix, Box<Response>> {
+        let proba = DenseMatrix::from_rows(rows).map_err(|e| reject(format!("bad {what}: {e}")))?;
+        if proba.rows() > 0 {
+            validate_probability_matrix(&proba, proba.rows(), proba.cols())
+                .map_err(|e| reject(format!("bad {what}: {e}")))?;
+        }
+        Ok(proba)
+    }
+
     /// Appends `op` to the write-ahead journal (a no-op without one).
-    /// Called *before* the mutation it describes; on failure the caller
-    /// returns the error response and applies nothing, preserving the
-    /// invariant that replaying the journal reproduces exactly the
-    /// mutations the daemon acknowledged.
+    /// Called *before* the op is applied; on failure the caller returns
+    /// the error response and applies nothing, preserving the invariant
+    /// that replaying the journal reproduces exactly the mutations the
+    /// daemon acknowledged.
     fn journal_append(&self, inner: &mut Inner, op: &JournalOp) -> Result<(), Box<Response>> {
         let Some(journal) = inner.journal.as_mut() else {
             return Ok(());
@@ -652,84 +866,84 @@ impl Daemon {
             }
             Err(e) => {
                 self.metrics.journal_append_failures.inc();
-                Err(Box::new(Response::error(format!(
+                Err(reject(format!(
                     "write-ahead journal append failed; request not applied: {e}"
-                ))))
+                )))
             }
         }
     }
 
-    fn deployment_mut<'a>(
+    fn monitor_mut<'a>(
         inner: &'a mut Inner,
         key: &MonitorKey,
-    ) -> Result<&'a mut Deployment, String> {
+    ) -> Result<&'a mut BatchMonitor, String> {
         inner
             .deployments
             .get_mut(key)
             .ok_or_else(|| format!("unknown deployment {key}"))
     }
 
-    /// Applies one journaled operation during recovery — the replay twin
-    /// of the live mutation paths, minus admission control (the ops were
-    /// already admitted when journaled; shed decisions were journaled as
-    /// their effects). Errors here reproduce errors the live daemon
-    /// already answered, so they are counted and skipped, never fatal.
-    fn apply_op(&self, inner: &mut Inner, op: JournalOp) -> Result<(), String> {
-        match op {
-            JournalOp::Register { key, artifact } => self.install(inner, key, artifact).map(|_| ()),
+    /// Applies one admitted op — the only place monitor state mutates,
+    /// shared by live requests (after the journal append) and recovery
+    /// (replaying the journal). The outcome is a pure function of the
+    /// registry state and the op, so replaying an op reproduces its live
+    /// outcome, errors included.
+    fn apply_op(&self, inner: &mut Inner, op: JournalOp) -> Result<Applied, String> {
+        let (monitor, report) = match op {
+            JournalOp::Register { key, artifact } => {
+                let batches_seen = self.install(inner, key, artifact)?;
+                return Ok(Applied {
+                    report: None,
+                    batches_seen,
+                });
+            }
             JournalOp::ObserveOutputs { key, rows } => {
-                let dep = Self::deployment_mut(inner, &key)?;
+                let monitor = Self::monitor_mut(inner, &key)?;
                 let proba =
                     DenseMatrix::from_rows(&rows).map_err(|e| format!("bad outputs: {e}"))?;
-                dep.monitor
-                    .observe_outputs(&proba)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+                let report = monitor.observe_outputs(&proba).map_err(|e| e.to_string())?;
+                (monitor, Some(report))
             }
             JournalOp::ObserveChunk { key, rows } => {
-                let dep = Self::deployment_mut(inner, &key)?;
+                let monitor = Self::monitor_mut(inner, &key)?;
                 let proba = DenseMatrix::from_rows(&rows).map_err(|e| format!("bad chunk: {e}"))?;
-                if proba.rows() > 0 && proba.cols() != dep.monitor.predictor().n_classes() {
-                    return Err(format!(
-                        "chunk has {} columns but {key} serves {} classes",
-                        proba.cols(),
-                        dep.monitor.predictor().n_classes()
-                    ));
-                }
-                dep.monitor
+                monitor
                     .observe_output_chunk(&proba)
-                    .map_err(|e| e.to_string())
+                    .map_err(|e| e.to_string())?;
+                (monitor, None)
             }
             JournalOp::ObserveEstimate { key, estimate } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.observe_estimate(estimate);
-                Ok(())
+                let monitor = Self::monitor_mut(inner, &key)?;
+                let report = monitor.observe_estimate(estimate);
+                (monitor, Some(report))
             }
             JournalOp::ObserveInterval { key, interval } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor
+                let monitor = Self::monitor_mut(inner, &key)?;
+                let report = monitor
                     .observe_interval(interval)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+                    .map_err(|e| e.to_string())?;
+                (monitor, Some(report))
             }
             JournalOp::Finish { key } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor
-                    .finish_window()
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+                let monitor = Self::monitor_mut(inner, &key)?;
+                let report = monitor.finish_window().map_err(|e| e.to_string())?;
+                (monitor, Some(report))
             }
             JournalOp::AbandonWindow { key, reason } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.abandon_window(reason);
-                Ok(())
+                let monitor = Self::monitor_mut(inner, &key)?;
+                monitor.abandon_window(reason);
+                (monitor, None)
             }
             JournalOp::ObserveDegraded { key, reason } => {
-                let dep = Self::deployment_mut(inner, &key)?;
-                dep.monitor.observe_degraded(reason);
-                Ok(())
+                let monitor = Self::monitor_mut(inner, &key)?;
+                let report = monitor.observe_degraded(reason);
+                (monitor, Some(report))
             }
-        }
+        };
+        Ok(Applied {
+            report,
+            batches_seen: monitor.batches_seen(),
+        })
     }
 
     fn require_key(request: &Request) -> Result<MonitorKey, Box<Response>> {
@@ -739,9 +953,9 @@ impl Daemon {
                 model: model.clone(),
                 version: version.clone(),
             }),
-            _ => Err(Box::new(Response::error(
+            _ => Err(reject(
                 "tenant, model and version are all required for this verb",
-            ))),
+            )),
         }
     }
 
@@ -771,39 +985,9 @@ impl Daemon {
         monitor.attach_telemetry_prefixed(&self.registry, &key.metric_prefix());
         let batches_seen = monitor.batches_seen();
         inner.tenants.entry(key.tenant.clone()).or_default();
-        inner.deployments.insert(key, Deployment { monitor });
+        inner.deployments.insert(key, monitor);
         self.metrics.registrations.inc();
         Ok(batches_seen)
-    }
-
-    fn register(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
-        let Some(artifact) = request.artifact else {
-            return Response::error("register requires an artifact");
-        };
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        if let Err(resp) = self.journal_append(
-            inner,
-            &JournalOp::Register {
-                key: key.clone(),
-                artifact: artifact.clone(),
-            },
-        ) {
-            return *resp;
-        }
-        match self.install(inner, key.clone(), artifact) {
-            Ok(batches_seen) => {
-                let mut r = Response::ok();
-                r.message = Some(format!("registered {key}"));
-                r.batches_seen = Some(batches_seen);
-                r
-            }
-            Err(message) => Response::error(message),
-        }
     }
 
     /// Total in-flight chunks of a tenant: the chunk counts of every open
@@ -814,7 +998,7 @@ impl Daemon {
             .deployments
             .iter()
             .filter(|(key, _)| key.tenant == tenant)
-            .filter_map(|(_, dep)| dep.monitor.window())
+            .filter_map(|(_, monitor)| monitor.window())
             .map(|window| window.chunks())
             .sum()
     }
@@ -840,13 +1024,17 @@ impl Daemon {
         ((raw as f64) * (0.5 + frac)) as u64
     }
 
-    fn publish_gate(&self, tenant: &str, gate: &TenantGate, pending: u64) {
+    /// Publishes the tenant's breaker-state and queue-depth gauges and
+    /// returns its in-flight chunk count.
+    fn publish_gate(&self, inner: &Inner, tenant: &str) -> u64 {
+        let pending = Self::tenant_pending(inner, tenant);
         self.registry
             .gauge(&format!("tenant.{tenant}.server.breaker_state"))
-            .set(gate.state.gauge_value());
+            .set(Self::circuit_locked(inner, tenant).gauge_value());
         self.registry
             .gauge(&format!("tenant.{tenant}.server.queue_depth"))
             .set(pending as f64);
+        pending
     }
 
     fn note_shed(&self, tenant: &str) {
@@ -856,292 +1044,21 @@ impl Daemon {
             .inc();
     }
 
-    fn observe(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
+    /// An accepted observe is a success signal for the tenant's breaker.
+    fn note_accepted(&self, inner: &mut Inner, tenant: &str) {
+        let Some(gate) = inner.tenants.get_mut(tenant) else {
+            return;
         };
-        let now = self.clock.now_nanos();
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        if !inner.deployments.contains_key(&key) {
-            return Response::error(format!("unknown deployment {key}"));
-        }
-        let mode_count = usize::from(request.outputs.is_some())
-            + usize::from(request.chunk.is_some())
-            + usize::from(request.estimate.is_some())
-            + usize::from(request.interval.is_some());
-        if mode_count != 1 {
-            return Response::error(
-                "observe requires exactly one of outputs, chunk, estimate or interval",
-            );
-        }
-
-        // Breaker check first: an open breaker sheds every observe form.
-        let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-        if gate.state == GateState::Open {
-            let elapsed = now.saturating_sub(gate.opened_at_nanos);
-            if elapsed < self.config.breaker.cooldown_nanos {
-                let retry = self.config.breaker.cooldown_nanos - elapsed;
-                gate.sheds += 1;
-                let reason = format!(
-                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
-                    key.tenant
-                );
-                let gate_snapshot = gate.clone();
-                // Shed effects mutate monitor state, so they are WAL'd
-                // like any other mutation — as their *effect*, with the
-                // literal reason, so replay needs no gate state.
-                let shed_op = if request.chunk.is_some() {
-                    JournalOp::AbandonWindow {
-                        key: key.clone(),
-                        reason: reason.clone(),
-                    }
-                } else {
-                    JournalOp::ObserveDegraded {
-                        key: key.clone(),
-                        reason: reason.clone(),
-                    }
-                };
-                if let Err(resp) = self.journal_append(inner, &shed_op) {
-                    return *resp;
+        match gate.state {
+            CircuitState::Closed => gate.consecutive_overflows = 0,
+            CircuitState::HalfOpen => {
+                gate.half_open_successes += 1;
+                if gate.half_open_successes >= self.config.breaker.half_open_successes {
+                    gate.state = CircuitState::Closed;
+                    gate.consecutive_overflows = 0;
                 }
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                let mut resp = Response::shed(retry, reason.clone());
-                if request.chunk.is_some() {
-                    // Degrade, never drop: the window the chunk belonged to
-                    // must not finish as if it saw every chunk.
-                    dep.monitor.abandon_window(reason);
-                } else {
-                    resp.report = Some(dep.monitor.observe_degraded(reason));
-                }
-                self.note_shed(&key.tenant);
-                let pending = Self::tenant_pending(inner, &key.tenant);
-                self.publish_gate(&key.tenant, &gate_snapshot, pending);
-                resp.pending_chunks = Some(pending);
-                return resp;
             }
-            gate.state = GateState::HalfOpen;
-            gate.half_open_successes = 0;
-        }
-
-        let response = if let Some(rows) = &request.outputs {
-            self.observe_outputs(inner, &key, rows)
-        } else if let Some(rows) = &request.chunk {
-            self.observe_chunk(inner, &key, rows, now)
-        } else if let Some(interval) = request.interval {
-            // External intervals are validated by the monitor before they
-            // touch any alarm state; a malformed interval is a hard error
-            // that consumes no batch index (and its journaled record
-            // replays into the same no-op).
-            self.journal_append(
-                inner,
-                &JournalOp::ObserveInterval {
-                    key: key.clone(),
-                    interval,
-                },
-            )
-            .and_then(|()| {
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                match dep.monitor.observe_interval(interval) {
-                    Ok(report) => {
-                        let mut r = Response::ok();
-                        r.batches_seen = Some(dep.monitor.batches_seen());
-                        r.report = Some(report);
-                        Ok(r)
-                    }
-                    Err(e) => Err(Box::new(Response::error(e.to_string()))),
-                }
-            })
-        } else {
-            let estimate = request.estimate.expect("mode checked above");
-            self.journal_append(
-                inner,
-                &JournalOp::ObserveEstimate {
-                    key: key.clone(),
-                    estimate,
-                },
-            )
-            .map(|()| {
-                let dep = inner.deployments.get_mut(&key).expect("checked above");
-                let report = dep.monitor.observe_estimate(estimate);
-                let mut r = Response::ok();
-                r.batches_seen = Some(dep.monitor.batches_seen());
-                r.report = Some(report);
-                r
-            })
-        };
-        match response {
-            Ok(mut resp) => {
-                // An accepted observe is a success signal for the breaker.
-                let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-                match gate.state {
-                    GateState::Closed => gate.consecutive_overflows = 0,
-                    GateState::HalfOpen => {
-                        gate.half_open_successes += 1;
-                        if gate.half_open_successes >= self.config.breaker.half_open_successes {
-                            gate.state = GateState::Closed;
-                            gate.consecutive_overflows = 0;
-                        }
-                    }
-                    GateState::Open => {}
-                }
-                let gate_snapshot = gate.clone();
-                let pending = Self::tenant_pending(inner, &key.tenant);
-                self.publish_gate(&key.tenant, &gate_snapshot, pending);
-                resp.pending_chunks = Some(pending);
-                resp
-            }
-            Err(resp) => *resp,
-        }
-    }
-
-    fn observe_outputs(
-        &self,
-        inner: &mut Inner,
-        key: &MonitorKey,
-        rows: &[Vec<f64>],
-    ) -> Result<Response, Box<Response>> {
-        // Shape validation happens before the WAL append so pure parse
-        // errors (which mutate nothing) are not journaled at all.
-        let proba = DenseMatrix::from_rows(rows)
-            .map_err(|e| Box::new(Response::error(format!("bad outputs: {e}"))))?;
-        self.journal_append(
-            inner,
-            &JournalOp::ObserveOutputs {
-                key: key.clone(),
-                rows: rows.to_vec(),
-            },
-        )?;
-        let dep = inner.deployments.get_mut(key).expect("checked above");
-        let report = dep
-            .monitor
-            .observe_outputs(&proba)
-            .map_err(|e| Box::new(Response::error(e.to_string())))?;
-        let mut r = Response::ok();
-        r.batches_seen = Some(dep.monitor.batches_seen());
-        r.report = Some(report);
-        Ok(r)
-    }
-
-    fn observe_chunk(
-        &self,
-        inner: &mut Inner,
-        key: &MonitorKey,
-        rows: &[Vec<f64>],
-        now: u64,
-    ) -> Result<Response, Box<Response>> {
-        let pending = Self::tenant_pending(inner, &key.tenant);
-        if pending >= self.config.queue_capacity {
-            let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-            gate.sheds += 1;
-            match gate.state {
-                GateState::Closed => {
-                    gate.consecutive_overflows += 1;
-                    if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
-                        gate.state = GateState::Open;
-                        gate.opened_at_nanos = now;
-                    }
-                }
-                GateState::HalfOpen => {
-                    // A failed probe re-opens immediately.
-                    gate.state = GateState::Open;
-                    gate.opened_at_nanos = now;
-                }
-                GateState::Open => {}
-            }
-            let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
-            let gate_snapshot = gate.clone();
-            let reason = format!(
-                "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
-                key.tenant, self.config.queue_capacity
-            );
-            // The shed is journaled as its *effect* (window abandonment),
-            // so replay reproduces the degradation without reconstructing
-            // ephemeral gate state.
-            self.journal_append(
-                inner,
-                &JournalOp::AbandonWindow {
-                    key: key.clone(),
-                    reason: reason.clone(),
-                },
-            )?;
-            let dep = inner.deployments.get_mut(key).expect("checked above");
-            // Degrade, never drop: the shed chunk's window finishes
-            // degraded instead of pretending it saw every chunk.
-            dep.monitor.abandon_window(reason.clone());
-            self.note_shed(&key.tenant);
-            let pending = Self::tenant_pending(inner, &key.tenant);
-            self.publish_gate(&key.tenant, &gate_snapshot, pending);
-            let mut resp = Response::shed(retry, reason);
-            resp.pending_chunks = Some(pending);
-            return Err(Box::new(resp));
-        }
-        // Validate shape and class count before the WAL append so pure
-        // parse errors (which mutate nothing) are not journaled at all.
-        let proba = DenseMatrix::from_rows(rows)
-            .map_err(|e| Box::new(Response::error(format!("bad chunk: {e}"))))?;
-        let n_classes = inner
-            .deployments
-            .get(key)
-            .expect("checked above")
-            .monitor
-            .predictor()
-            .n_classes();
-        if proba.rows() > 0 && proba.cols() != n_classes {
-            return Err(Box::new(Response::error(format!(
-                "chunk has {} columns but {key} serves {n_classes} classes",
-                proba.cols(),
-            ))));
-        }
-        self.journal_append(
-            inner,
-            &JournalOp::ObserveChunk {
-                key: key.clone(),
-                rows: rows.to_vec(),
-            },
-        )?;
-        let dep = inner.deployments.get_mut(key).expect("checked above");
-        dep.monitor
-            .observe_output_chunk(&proba)
-            .map_err(|e| Box::new(Response::error(e.to_string())))?;
-        let mut r = Response::ok();
-        r.batches_seen = Some(dep.monitor.batches_seen());
-        Ok(r)
-    }
-
-    fn finish(&self, request: Request) -> Response {
-        let key = match Self::require_key(&request) {
-            Ok(key) => key,
-            Err(resp) => return *resp,
-        };
-        let mut inner = self.lock_inner();
-        let inner = &mut *inner;
-        if !inner.deployments.contains_key(&key) {
-            return Response::error(format!("unknown deployment {key}"));
-        }
-        // Journaled even when no window is open: the live error below is a
-        // no-op on monitor state, and replaying it reproduces the same
-        // no-op error, keeping replay bit-identical without peeking into
-        // window state here.
-        if let Err(resp) = self.journal_append(inner, &JournalOp::Finish { key: key.clone() }) {
-            return *resp;
-        }
-        let dep = inner.deployments.get_mut(&key).expect("checked above");
-        let result = dep.monitor.finish_window();
-        let batches_seen = dep.monitor.batches_seen();
-        let gate_snapshot = inner.tenants.entry(key.tenant.clone()).or_default().clone();
-        let pending = Self::tenant_pending(inner, &key.tenant);
-        self.publish_gate(&key.tenant, &gate_snapshot, pending);
-        match result {
-            Ok(report) => {
-                let mut r = Response::ok();
-                r.report = Some(report);
-                r.batches_seen = Some(batches_seen);
-                r.pending_chunks = Some(pending);
-                r
-            }
-            Err(e) => Response::error(e.to_string()),
+            CircuitState::Open => {}
         }
     }
 
@@ -1151,15 +1068,15 @@ impl Daemon {
             Err(resp) => return *resp,
         };
         let inner = self.lock_inner();
-        let Some(dep) = inner.deployments.get(&key) else {
+        let Some(monitor) = inner.deployments.get(&key) else {
             return Response::error(format!("unknown deployment {key}"));
         };
-        let reports = dep.monitor.history();
+        let reports = monitor.history();
         let offset = request.offset.unwrap_or(0);
         let limit = request.limit.unwrap_or(reports.len());
         let mut r = Response::ok();
         r.history = Some(reports.iter().skip(offset).take(limit).cloned().collect());
-        r.batches_seen = Some(dep.monitor.batches_seen());
+        r.batches_seen = Some(monitor.batches_seen());
         r
     }
 
@@ -1192,9 +1109,9 @@ impl Daemon {
             deployments: inner
                 .deployments
                 .iter()
-                .map(|(key, dep)| DeploymentEntry {
+                .map(|(key, monitor)| DeploymentEntry {
                     key: key.clone(),
-                    artifact: ServingArtifact::from_monitor(&dep.monitor),
+                    artifact: ServingArtifact::from_monitor(monitor),
                 })
                 .collect(),
         }
@@ -1209,7 +1126,7 @@ impl Daemon {
     /// journal that recovery recognizes as stale and skips — the crash
     /// window double-applies nothing. A save to any *other* path is a
     /// plain export (`journal_epoch: None`) that restores standalone via
-    /// [`DaemonConfig::with_state_file`] without consuming this daemon's
+    /// [`Daemon::with_state_file`] without consuming this daemon's
     /// journal.
     pub fn save_to(&self, path: &Path) -> Result<String, String> {
         let mut inner = self.lock_inner();
@@ -1452,6 +1369,46 @@ mod tests {
         req.chunk = Some(vec![vec![0.2, 0.3, 0.5]]);
         let resp = daemon.handle_request(req);
         assert!(resp.message.unwrap().contains("classes"));
+    }
+
+    #[test]
+    fn non_probability_outputs_are_rejected_before_the_journal() {
+        let dir = std::env::temp_dir().join(format!("lvpd-daemon-proba-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let durability = DurabilityConfig::in_dir_with_fsync(&dir, FsyncPolicy::Never);
+        let (daemon, _) = Daemon::recover(DaemonConfig::default(), durability).unwrap();
+        let k = key("acme");
+        register(&daemon, &k, artifact());
+        let mut req = Request::targeted("observe", &k);
+        req.estimate = Some(0.8);
+        assert!(daemon.handle_request(req).is_ok());
+
+        let state = || {
+            let appends = daemon.registry().snapshot().counters["journal.appends"];
+            let history = daemon.handle_request(Request::targeted("history", &k));
+            let registry = lvp_core::to_json(&daemon.snapshot()).unwrap();
+            (appends, history.batches_seen, registry)
+        };
+        let target = r#""tenant":"acme","model":"fraud","version":"v1""#;
+        for payload in [
+            r#""outputs":[[-1,2]]"#,
+            r#""outputs":[[1e308,1e308]]"#,
+            r#""chunk":[[-5,9]]"#,
+        ] {
+            let before = state();
+            let line = format!(r#"{{"verb":"observe",{target},{payload}}}"#);
+            let resp: Response = serde_json::from_str(&daemon.handle_line(&line)).unwrap();
+            assert_eq!(resp.status, "error", "{payload} was accepted");
+            assert!(resp.message.unwrap().contains("probability"));
+            assert_eq!(state(), before, "{payload} mutated or journaled state");
+        }
+
+        // An empty chunk carries no evidence and stays a successful no-op.
+        let line = format!(r#"{{"verb":"observe",{target},"chunk":[]}}"#);
+        let resp: Response = serde_json::from_str(&daemon.handle_line(&line)).unwrap();
+        assert!(resp.is_ok(), "{:?}", resp.message);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -106,7 +106,8 @@ fn workload(artifact: &ServingArtifact, snapshot_path: &Path) -> Vec<Request> {
         req.estimate = Some(0.5 + 0.01 * i as f64);
         requests.push(req);
     }
-    // An invalid interval errors without journaling or mutating anything.
+    // An invalid interval is journaled, errors without mutating anything,
+    // and its replay reproduces the same error.
     let mut req = Request::targeted("observe", &key("acme"));
     req.interval = Some(lvp_core::ScoreInterval {
         point: 0.8,
