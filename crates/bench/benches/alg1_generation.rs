@@ -8,9 +8,7 @@
 //! EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lvp_core::{
-    generate_training_examples_instrumented, generate_training_examples_seeded, Metric,
-};
+use lvp_core::{generate_batches, generate_training_examples_seeded, Metric, TrainingExample};
 use lvp_corruptions::standard_tabular_suite;
 use lvp_models::{train_model_quick, BlackBoxModel, ModelKind};
 use lvp_telemetry::Registry;
@@ -41,7 +39,7 @@ fn bench_alg1_generation(c: &mut Criterion) {
     };
     let registry = Registry::new();
     let run_instrumented = |parallel: bool| {
-        generate_training_examples_instrumented(
+        generate_batches(
             model.as_ref(),
             &test,
             &gens,
@@ -50,9 +48,12 @@ fn bench_alg1_generation(c: &mut Criterion) {
             Metric::Accuracy,
             42,
             parallel,
+            1.0,
             Some(&registry),
+            |batch| TrainingExample::from(batch),
         )
         .expect("accuracy metric fits any class count")
+        .results
     };
 
     // Sanity: all paths must agree before we time them.

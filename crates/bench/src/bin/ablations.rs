@@ -13,7 +13,7 @@
 
 use lvp_bench::{prepare_split, train_for, write_results, ExperimentEnv, ResultRow, Summary};
 use lvp_core::{
-    generate_training_examples, prediction_statistics, Metric, PerformancePredictor,
+    generate_training_examples_seeded, prediction_statistics, Metric, PerformancePredictor,
     PerformanceValidator, PredictorConfig, ValidatorConfig,
 };
 use lvp_corruptions::{standard_tabular_suite, ErrorGen, Mixture};
@@ -74,14 +74,15 @@ fn featurization_mae(
     rng: &mut StdRng,
 ) -> f64 {
     let gens = standard_tabular_suite(data.test.schema());
-    let examples = generate_training_examples(
+    let examples = generate_training_examples_seeded(
         data.model.as_ref(),
         &data.test,
         &gens,
         env.scale.runs_per_generator(),
         5,
         Metric::Accuracy,
-        rng,
+        rng.gen(),
+        true,
     )
     .expect("accuracy metric fits any class count");
     // Refit the forest on the alternative featurization by recomputing
@@ -150,14 +151,15 @@ fn main() {
     println!("\n## ablation 2: meta-model");
     let mut rng = env.rng("ablations/meta");
     let gens = standard_tabular_suite(data.test.schema());
-    let examples = generate_training_examples(
+    let examples = generate_training_examples_seeded(
         data.model.as_ref(),
         &data.test,
         &gens,
         env.scale.runs_per_generator(),
         5,
         Metric::Accuracy,
-        &mut rng,
+        rng.gen(),
+        true,
     )
     .expect("accuracy metric fits any class count");
     let x = DenseMatrix::from_rows(

@@ -14,7 +14,6 @@
 //! The clean-copy stream (`p_err = 0`) is addressed as a virtual generator
 //! at index `generators.len()`.
 
-use crate::features::prediction_statistics;
 use crate::predictor::TrainingExample;
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
@@ -111,53 +110,6 @@ impl<T> GenerationOutcome<T> {
     }
 }
 
-/// Runs the data-generation loop of Algorithm 1 (lines 3–12) and maps each
-/// generated batch through `featurize`.
-///
-/// Results are ordered generator-major (all runs of generator 0, then all
-/// runs of generator 1, …, then the clean copies), identically for the
-/// sequential and parallel paths: each task seeds its own [`StdRng`] from
-/// [`derive_run_seed`] and the parallel collect preserves task order.
-///
-/// Fails fast with a [`CoreError`] when `metric` cannot score the model's
-/// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
-/// batch is generated.
-///
-/// Models that cache featurization internally (e.g. `PipelineModel`'s
-/// identity-keyed encoding cache) stay deterministic here: cached column
-/// blocks are bit-identical to freshly encoded ones, so `predict_proba` —
-/// and therefore every generated batch — is the same on any thread
-/// schedule, cache state notwithstanding.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_batches_seeded<T, F>(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    featurize: F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(GeneratedBatch<'_>) -> T + Sync,
-{
-    generate_batches_instrumented(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        None,
-        featurize,
-    )
-}
-
 /// Pre-resolved registry handles for the generation loop. Resolved once
 /// before the fan-out; each task touches only atomics.
 struct EngineMetrics {
@@ -168,7 +120,7 @@ struct EngineMetrics {
     /// `engine.seeds_used` — per-run RNG seeds derived (== tasks run).
     seeds: Counter,
     /// `engine.batches_skipped` — tasks dropped because scoring failed
-    /// terminally (resilient path only).
+    /// terminally.
     skipped: Counter,
     /// `engine.generate_phase` — subsample + corrupt wall time per batch.
     generate: Histogram,
@@ -192,66 +144,47 @@ impl EngineMetrics {
     }
 }
 
-/// [`generate_batches_seeded`] with optional telemetry.
+/// Runs the data-generation loop of Algorithm 1 (lines 3–12) and maps each
+/// generated batch through `featurize`.
+///
+/// Results are ordered generator-major (all runs of generator 0, then all
+/// runs of generator 1, …, then the clean copies), identically for the
+/// sequential and parallel paths: each task seeds its own [`StdRng`] from
+/// [`derive_run_seed`] and the parallel collect preserves task order.
+///
+/// Fails fast with a [`CoreError`] when `metric` cannot score the model's
+/// output shape (e.g. [`Metric::Auc`] with a non-binary model), before any
+/// batch is generated.
+///
+/// A task whose scoring fails terminally (the serving model's
+/// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
+/// retries) is *skipped and recorded* instead of panicking, and the loop
+/// succeeds as long as at least `min_survival` of its tasks produce a
+/// usable batch. `min_survival` is a fraction in `[0, 1]`; `1.0` demands
+/// every task succeed (the first failure aborts with a [`CoreError`] whose
+/// source chain carries the typed [`lvp_models::ModelError`]). Skip
+/// decisions inherit the engine's determinism: with a content-keyed fault
+/// schedule (see `lvp-models`' `FaultPlan`) the same seed skips the same
+/// tasks at any thread count, and both `results` and `skipped` are
+/// collected in task order.
 ///
 /// When `telemetry` is `Some`, the engine records per-phase wall-clock
 /// histograms (`engine.generate_phase`, `engine.score_phase`,
-/// `engine.featurize_phase`), batch/seed counters, and — after the loop —
-/// flushes the model's buffered metrics via
+/// `engine.featurize_phase`), batch/seed/skip counters, and — after the
+/// loop — flushes the model's buffered metrics via
 /// [`BlackBoxModel::publish_telemetry`]. Counter and histogram-count totals
 /// are identical at any thread count (atomic adds commute); histogram
 /// *buckets* hold wall-clock data and are excluded from deterministic
 /// snapshot views. Telemetry never touches an RNG, so the generated batches
 /// are bit-identical with and without it.
-#[allow(clippy::too_many_arguments)]
-pub fn generate_batches_instrumented<T, F>(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    telemetry: Option<&Registry>,
-    featurize: F,
-) -> Result<Vec<T>, CoreError>
-where
-    T: Send,
-    F: Fn(GeneratedBatch<'_>) -> T + Sync,
-{
-    let outcome = generate_batches_resilient(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        1.0,
-        telemetry,
-        featurize,
-    )?;
-    Ok(outcome.results)
-}
-
-/// Fault-tolerant variant of [`generate_batches_instrumented`]: a task
-/// whose scoring fails terminally (the serving model's
-/// [`BlackBoxModel::try_predict_proba`] returns an error even after its own
-/// retries) is *skipped and recorded* instead of panicking, and the loop
-/// succeeds as long as at least `min_survival` of its tasks produce a
-/// usable batch.
 ///
-/// `min_survival` is a fraction in `[0, 1]`; `1.0` demands every task
-/// succeed (the first failure aborts with a [`CoreError`] whose source
-/// chain carries the typed [`lvp_models::ModelError`]). Skip decisions
-/// inherit the engine's determinism: with a content-keyed fault schedule
-/// (see `lvp-models`' `FaultPlan`) the same seed skips the same tasks at
-/// any thread count, and both `results` and `skipped` are collected in
-/// task order.
+/// Models that cache featurization internally (e.g. `PipelineModel`'s
+/// identity-keyed encoding cache) stay deterministic here: cached column
+/// blocks are bit-identical to freshly encoded ones, so `predict_proba` —
+/// and therefore every generated batch — is the same on any thread
+/// schedule, cache state notwithstanding.
 #[allow(clippy::too_many_arguments)]
-pub fn generate_batches_resilient<T, F>(
+pub fn generate_batches<T, F>(
     model: &dyn BlackBoxModel,
     test: &DataFrame,
     generators: &[Box<dyn ErrorGen>],
@@ -386,11 +319,11 @@ where
     Ok(GenerationOutcome { results, skipped })
 }
 
-/// Seeded variant of
-/// [`generate_training_examples`](crate::generate_training_examples):
-/// applies each generator `runs_per_generator` times and records
-/// `(ζ_corrupt, ℓ_corrupt)` pairs, optionally fanning the runs out across
-/// threads.
+/// Algorithm 1's training examples: applies each generator
+/// `runs_per_generator` times (plus `clean_copies` clean copies) and
+/// records `(ζ_corrupt, ℓ_corrupt)` pairs in task order, optionally fanning
+/// the runs out across threads. Every task must score (see
+/// [`generate_batches`] for the skip-and-record variant and telemetry).
 #[allow(clippy::too_many_arguments)]
 pub fn generate_training_examples_seeded(
     model: &dyn BlackBoxModel,
@@ -402,7 +335,7 @@ pub fn generate_training_examples_seeded(
     master_seed: u64,
     parallel: bool,
 ) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_training_examples_instrumented(
+    let outcome = generate_batches(
         model,
         test,
         generators,
@@ -411,74 +344,11 @@ pub fn generate_training_examples_seeded(
         metric,
         master_seed,
         parallel,
+        1.0,
         None,
-    )
-}
-
-/// [`generate_training_examples_seeded`] with optional telemetry (see
-/// [`generate_batches_instrumented`] for the metrics recorded).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_training_examples_instrumented(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    telemetry: Option<&Registry>,
-) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_batches_instrumented(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        telemetry,
-        |batch| TrainingExample {
-            features: prediction_statistics(&batch.proba),
-            score: batch.score,
-            generator: batch.generator.to_string(),
-        },
-    )
-}
-
-/// Fault-tolerant variant of [`generate_training_examples_instrumented`]
-/// (see [`generate_batches_resilient`] for the skip-and-record contract).
-#[allow(clippy::too_many_arguments)]
-pub fn generate_training_examples_resilient(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    master_seed: u64,
-    parallel: bool,
-    min_survival: f64,
-    telemetry: Option<&Registry>,
-) -> Result<GenerationOutcome<TrainingExample>, CoreError> {
-    generate_batches_resilient(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        master_seed,
-        parallel,
-        min_survival,
-        telemetry,
-        |batch| TrainingExample {
-            features: prediction_statistics(&batch.proba),
-            score: batch.score,
-            generator: batch.generator.to_string(),
-        },
-    )
+        |batch| TrainingExample::from(batch),
+    )?;
+    Ok(outcome.results)
 }
 
 #[cfg(test)]
@@ -556,7 +426,7 @@ mod tests {
             true,
         )
         .unwrap();
-        let instrumented = generate_training_examples_instrumented(
+        let instrumented = generate_batches(
             model.as_ref(),
             &df,
             &gens,
@@ -565,9 +435,12 @@ mod tests {
             Metric::Accuracy,
             5,
             true,
+            1.0,
             Some(&registry),
+            |batch| TrainingExample::from(batch),
         )
-        .unwrap();
+        .unwrap()
+        .results;
         assert_eq!(plain, instrumented, "telemetry must not perturb batches");
         let total = (gens.len() * 3 + 2) as u64;
         let snap = registry.snapshot();
@@ -683,7 +556,7 @@ mod tests {
         };
         let gens = standard_tabular_suite(df.schema());
         let registry = Registry::new();
-        let outcome = generate_training_examples_resilient(
+        let outcome = generate_batches(
             &model,
             &df,
             &gens,
@@ -694,6 +567,7 @@ mod tests {
             true,
             0.5,
             Some(&registry),
+            |batch| TrainingExample::from(batch),
         )
         .unwrap();
         let total = gens.len() * 4 + 3;
@@ -716,7 +590,7 @@ mod tests {
 
         // Skip decisions are content-keyed → parallel ≡ sequential, both
         // for the surviving examples and for the skip record.
-        let sequential = generate_training_examples_resilient(
+        let sequential = generate_batches(
             &model,
             &df,
             &gens,
@@ -727,6 +601,7 @@ mod tests {
             false,
             0.5,
             None,
+            |batch| TrainingExample::from(batch),
         )
         .unwrap();
         assert_eq!(outcome.results, sequential.results);
@@ -742,7 +617,7 @@ mod tests {
             poisoned_rows: 1, // every batch fails
         };
         let gens = standard_tabular_suite(df.schema());
-        let err = generate_training_examples_resilient(
+        let err = generate_batches(
             &model,
             &df,
             &gens,
@@ -753,6 +628,7 @@ mod tests {
             false,
             0.5,
             None,
+            |batch| TrainingExample::from(batch),
         )
         .unwrap_err();
         assert!(err.message.contains("minimum survival"), "{err}");

@@ -16,11 +16,18 @@
 //! ([`lvp_stats::VIGINTILE_GRID`]), so the two feature layouts cannot
 //! drift: dimension `class · 21 + i` always holds the `5i`-th percentile
 //! of class `class`'s output distribution.
+//!
+//! [`FeatureSource`] wraps either source as the one scoring input. Its
+//! per-class KS tests (the validator's KS features and the monitor's drift
+//! evidence) pair each source with the reference of its own kind: an exact
+//! batch with the retained test-time output columns (exact two-sample KS),
+//! a sketch with the compressed ECDFs of those columns (KS on the shared
+//! ECDF grid). Neither source is ever converted into the other's form.
 
 use crate::CoreError;
 use lvp_linalg::DenseMatrix;
 use lvp_stats::{
-    ks_two_sample, EcdfSketch, PercentileScratch, QuantileSketch, DEFAULT_SKETCH_BINS,
+    ks_two_sample, EcdfSketch, PercentileScratch, QuantileSketch, TestOutcome, DEFAULT_SKETCH_BINS,
     VIGINTILE_COUNT, VIGINTILE_GRID,
 };
 use serde::{Deserialize, Serialize};
@@ -215,16 +222,31 @@ impl BatchSketch {
     }
 }
 
-/// One serving batch's output distribution, backed by either source.
+/// One serving batch's output distribution, backed by either source — the
+/// one scoring input of Algorithm 2.
 ///
-/// The featurization spine (`featurize_source`) is written against this
-/// enum, so the predictor, validator, and monitor run identically off a
-/// materialized matrix (exact oracle) or streaming sketch state.
+/// The predictor, validator, and monitor score through this enum, so they
+/// run identically off a materialized matrix (exact oracle) or streaming
+/// sketch state. Both `&DenseMatrix` and `&BatchSketch` convert into it,
+/// which is how the scoring entry points accept either.
+#[derive(Clone, Copy)]
 pub enum FeatureSource<'a> {
     /// Fully materialized model outputs — the exact path.
     Exact(&'a DenseMatrix),
     /// Incrementally built sketch state — the streaming path.
     Sketched(&'a BatchSketch),
+}
+
+impl<'a> From<&'a DenseMatrix> for FeatureSource<'a> {
+    fn from(proba: &'a DenseMatrix) -> Self {
+        FeatureSource::Exact(proba)
+    }
+}
+
+impl<'a> From<&'a BatchSketch> for FeatureSource<'a> {
+    fn from(sketch: &'a BatchSketch) -> Self {
+        FeatureSource::Sketched(sketch)
+    }
 }
 
 impl FeatureSource<'_> {
@@ -243,85 +265,54 @@ impl FeatureSource<'_> {
             FeatureSource::Sketched(sketch) => sketch.prediction_statistics(),
         }
     }
-}
 
-/// Reference output distributions the KS features compare a batch against.
-pub(crate) enum KsReference<'a> {
-    /// KS features disabled.
-    None,
-    /// Retained per-class test-time output columns — the exact path.
-    Exact(&'a [Vec<f64>]),
-    /// Compressed per-class ECDFs of the test-time outputs.
-    Sketched(&'a [EcdfSketch]),
-}
-
-impl KsReference<'_> {
-    fn n_classes(&self) -> Option<usize> {
+    /// Per-class two-sample KS tests of the batch against a retained
+    /// reference output distribution, in class order.
+    ///
+    /// Each source reads the reference of its own kind: an exact batch is
+    /// tested against the retained per-class output `columns`
+    /// (`ks_two_sample`), a sketch against their compressed `ecdfs`
+    /// ([`EcdfSketch::ks_test`]). An empty reference means none is
+    /// retained and yields no outcomes. A class-count mismatch between
+    /// batch and reference is rejected outright — truncating or padding
+    /// the loop would shift every downstream feature index.
+    pub(crate) fn per_class_ks(
+        &self,
+        columns: &[Vec<f64>],
+        ecdfs: &[EcdfSketch],
+    ) -> Result<Vec<TestOutcome>, CoreError> {
+        let ref_classes = match self {
+            FeatureSource::Exact(_) => columns.len(),
+            FeatureSource::Sketched(_) => ecdfs.len(),
+        };
+        if ref_classes == 0 {
+            return Ok(Vec::new());
+        }
+        if ref_classes != self.n_classes() {
+            return Err(CoreError::new(format!(
+                "output batch has {} class columns but the KS reference \
+                 retains {ref_classes} classes",
+                self.n_classes()
+            )));
+        }
         match self {
-            KsReference::None => None,
-            KsReference::Exact(cols) => Some(cols.len()),
-            KsReference::Sketched(ecdfs) => Some(ecdfs.len()),
+            FeatureSource::Exact(proba) => Ok(columns
+                .iter()
+                .enumerate()
+                .map(|(class, reference)| ks_two_sample(&proba.column(class), reference))
+                .collect()),
+            FeatureSource::Sketched(sketch) => sketch
+                .ecdfs()
+                .iter()
+                .zip(ecdfs)
+                .map(|(serving, reference)| {
+                    serving
+                        .ks_test(reference)
+                        .map_err(|e| CoreError::with_source("ks over sketched reference", e))
+                })
+                .collect(),
         }
     }
-}
-
-/// Featurizes one batch of model outputs from either source: percentile
-/// statistics plus, when a reference is given, per-class KS statistic and
-/// p-value against the retained test-time output distributions.
-///
-/// The exact/exact combination reproduces the original
-/// `ks_two_sample`-on-columns path bit-for-bit; sketched combinations run
-/// the KS test on compressed ECDFs (an exact-source batch is sketched on
-/// the fly when the reference is sketched, so both sides quantize
-/// identically). A class-count mismatch between source and reference is
-/// rejected outright — truncating or padding the KS loop would shift every
-/// downstream feature index and the meta-model would silently consume
-/// garbage.
-pub(crate) fn featurize_source(
-    source: &FeatureSource<'_>,
-    reference: &KsReference<'_>,
-) -> Result<Vec<f64>, CoreError> {
-    let mut f = source.percentile_features();
-    let Some(ref_classes) = reference.n_classes() else {
-        return Ok(f);
-    };
-    if ref_classes != source.n_classes() {
-        return Err(CoreError::new(format!(
-            "output batch has {} class columns but the validator retained \
-             test outputs for {ref_classes} classes",
-            source.n_classes()
-        )));
-    }
-    for class in 0..ref_classes {
-        let outcome = match (source, reference) {
-            (FeatureSource::Exact(proba), KsReference::Exact(cols)) => {
-                ks_two_sample(&proba.column(class), &cols[class])
-            }
-            (FeatureSource::Sketched(sketch), KsReference::Sketched(ecdfs)) => sketch.ecdfs()
-                [class]
-                .ks_test(&ecdfs[class])
-                .map_err(|e| CoreError::with_source("ks over sketched reference", e))?,
-            (FeatureSource::Exact(proba), KsReference::Sketched(ecdfs)) => {
-                let (lo, hi, bins) = ecdfs[class].grid();
-                let mut serving = EcdfSketch::new(lo, hi, bins);
-                serving.extend(proba.column_iter(class));
-                serving
-                    .ks_test(&ecdfs[class])
-                    .map_err(|e| CoreError::with_source("ks over sketched reference", e))?
-            }
-            (FeatureSource::Sketched(sketch), KsReference::Exact(cols)) => {
-                let (lo, hi, bins) = sketch.ecdfs()[class].grid();
-                let reference = EcdfSketch::from_values(&cols[class], lo, hi, bins);
-                sketch.ecdfs()[class]
-                    .ks_test(&reference)
-                    .map_err(|e| CoreError::with_source("ks over sketched batch", e))?
-            }
-            (_, KsReference::None) => unreachable!("handled above"),
-        };
-        f.push(outcome.statistic);
-        f.push(outcome.p_value);
-    }
-    Ok(f)
 }
 
 #[cfg(test)]

@@ -18,12 +18,12 @@
 //! that is bit-identical to what a single stream over all rows would have
 //! produced.
 
-use crate::features::BatchSketch;
+use crate::features::{BatchSketch, FeatureSource};
 use crate::interval::ScoreInterval;
 use crate::{CoreError, PerformancePredictor};
 use lvp_dataframe::DataFrame;
 use lvp_linalg::DenseMatrix;
-use lvp_stats::{ks_two_sample, EcdfSketch};
+use lvp_stats::EcdfSketch;
 use lvp_telemetry::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -110,7 +110,8 @@ pub struct BatchTelemetry {
     pub violation_streak: usize,
     /// Per-class output drift against the retained reference outputs;
     /// empty unless [`BatchMonitor::retain_reference_outputs`] was called
-    /// and the batch went through [`BatchMonitor::observe`].
+    /// (a restored monitor keeps only the sketched reference, so its
+    /// materialized batches carry no drift tests until it is called again).
     pub per_class_ks: Vec<ClassDrift>,
 }
 
@@ -158,17 +159,6 @@ pub struct BatchReport {
     pub telemetry: BatchTelemetry,
 }
 
-/// One shard's exported streaming window: the accumulated sketch state
-/// plus the shard's degradation marker, so fleet-level merging can honor
-/// a poisoned shard instead of silently scoring its partial sketch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardWindow {
-    /// The shard's accumulated window sketch.
-    pub sketch: BatchSketch,
-    /// Why the shard's window was degraded, if it was.
-    pub degraded: Option<String>,
-}
-
 /// Tracks estimated scores across a stream of serving batches and raises
 /// debounced alarms on sustained drops.
 pub struct BatchMonitor {
@@ -185,11 +175,11 @@ pub struct BatchMonitor {
     /// (restored from a [`MonitorArtifact`](crate::MonitorArtifact));
     /// `history` only holds this process's reports.
     batches_seen: usize,
-    /// Model outputs on the reference (held-out test) frame, retained for
-    /// per-class drift tests. `None` until
+    /// Per-class model output columns on the reference (held-out test)
+    /// frame, retained for the exact-path drift tests. `None` until
     /// [`Self::retain_reference_outputs`] is called (and after a restore —
     /// artifacts do not persist output matrices).
-    reference_outputs: Option<DenseMatrix>,
+    reference_columns: Option<Vec<Vec<f64>>>,
     /// Compressed ECDFs of the reference outputs — the sketched-path drift
     /// reference. Unlike the raw matrix these *do* survive a restore (they
     /// travel in the [`MonitorArtifact`](crate::MonitorArtifact)).
@@ -258,7 +248,7 @@ impl BatchMonitor {
             smoothed: None,
             violation_streak: 0,
             batches_seen: 0,
-            reference_outputs: None,
+            reference_columns: None,
             reference_ecdf: None,
             window: None,
             window_degraded: None,
@@ -325,7 +315,7 @@ impl BatchMonitor {
     pub fn retain_reference_outputs(&mut self, reference: &DataFrame) -> Result<(), CoreError> {
         let outputs = self.predictor.model_outputs(reference)?;
         self.reference_ecdf = Some(BatchSketch::from_outputs(&outputs).ecdfs().to_vec());
-        self.reference_outputs = Some(outputs);
+        self.reference_columns = Some((0..outputs.cols()).map(|c| outputs.column(c)).collect());
         Ok(())
     }
 
@@ -340,30 +330,16 @@ impl BatchMonitor {
     /// schema mismatch) stay hard errors: retrying or skipping cannot make
     /// an incompatible frame scoreable.
     pub fn observe(&mut self, batch: &DataFrame) -> Result<BatchReport, CoreError> {
-        let scored = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => self
-                .predictor
-                .predict_with_outputs(batch)
-                .map(|(estimate, proba)| (estimate, None, proba)),
-            AlarmMode::Interval => self
-                .predictor
-                .predict_interval_with_outputs(batch)
-                .map(|(interval, proba)| (interval.point, Some(interval), proba)),
-        };
-        let (estimate, interval, proba) = match scored {
-            Ok(triple) => triple,
-            Err(err) => {
-                return match err.model_error() {
-                    Some(cause) => Ok(self.record_degraded(format!(
-                        "serving failure on batch {}: {}",
-                        self.batches_seen, cause.message
-                    ))),
-                    None => Err(err),
-                };
-            }
-        };
-        let per_class_ks = self.drift_against_reference(&proba);
-        Ok(self.record(estimate, interval, per_class_ks))
+        match self.predictor.model_outputs(batch) {
+            Ok(proba) => self.observe_outputs(&proba),
+            Err(err) => match err.model_error() {
+                Some(cause) => Ok(self.record_degraded(format!(
+                    "serving failure on batch {}: {}",
+                    self.batches_seen, cause.message
+                ))),
+                None => Err(err),
+            },
+        }
     }
 
     /// Scores a batch of already-computed model outputs (e.g. when the
@@ -372,31 +348,34 @@ impl BatchMonitor {
     /// the point or interval path per the policy's [`AlarmMode`]. Runs the
     /// per-class drift tests when reference outputs are retained.
     pub fn observe_outputs(&mut self, proba: &DenseMatrix) -> Result<BatchReport, CoreError> {
+        self.score(proba.into())
+    }
+
+    /// Shared tail of every scoring path: estimate (point or interval, per
+    /// the policy's [`AlarmMode`]), per-class drift tests against the
+    /// retained reference of the source's kind, alarm-state update.
+    fn score(&mut self, source: FeatureSource<'_>) -> Result<BatchReport, CoreError> {
         let (estimate, interval) = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => (self.predictor.predict_from_outputs(proba)?, None),
+            AlarmMode::Threshold => (self.predictor.predict_from_outputs(source)?, None),
             AlarmMode::Interval => {
-                let interval = self.predictor.predict_interval_from_outputs(proba)?;
+                let interval = self.predictor.predict_interval_from_outputs(source)?;
                 (interval.point, Some(interval))
             }
         };
-        let per_class_ks = self.drift_against_reference(proba);
+        let per_class_ks = source
+            .per_class_ks(
+                self.reference_columns.as_deref().unwrap_or_default(),
+                self.reference_ecdf.as_deref().unwrap_or_default(),
+            )?
+            .into_iter()
+            .enumerate()
+            .map(|(class, outcome)| ClassDrift {
+                class,
+                statistic: outcome.statistic,
+                p_value: outcome.p_value,
+            })
+            .collect();
         Ok(self.record(estimate, interval, per_class_ks))
-    }
-
-    fn drift_against_reference(&self, proba: &DenseMatrix) -> Vec<ClassDrift> {
-        match &self.reference_outputs {
-            Some(reference) => (0..proba.cols().min(reference.cols()))
-                .map(|class| {
-                    let outcome = ks_two_sample(&proba.column(class), &reference.column(class));
-                    ClassDrift {
-                        class,
-                        statistic: outcome.statistic,
-                        p_value: outcome.p_value,
-                    }
-                })
-                .collect(),
-            None => Vec::new(),
-        }
     }
 
     /// Records a batch that was lost before it could be scored — shed by
@@ -576,49 +555,8 @@ impl BatchMonitor {
         self.report_sketch(&merged)
     }
 
-    /// Exports (and closes) the open streaming window as a [`ShardWindow`]
-    /// for fleet-level aggregation, carrying any degradation marker along
-    /// with the sketch. Returns `None` when no window is open.
-    pub fn take_window_shard(&mut self) -> Option<ShardWindow> {
-        let sketch = self.window.take()?;
-        Some(ShardWindow {
-            sketch,
-            degraded: self.window_degraded.take(),
-        })
-    }
-
-    /// Like [`Self::merge_shard_sketches`], but honors each shard's
-    /// degradation marker: if *any* shard's window was poisoned, the merged
-    /// fleet report is degraded (first poisoned shard's reason recorded)
-    /// instead of an estimate computed from sketches with silently missing
-    /// rows — partial fleet evidence would understate drift exactly when a
-    /// shard is in trouble.
-    pub fn merge_shard_windows(
-        &mut self,
-        shards: &[ShardWindow],
-    ) -> Result<BatchReport, CoreError> {
-        if shards.is_empty() {
-            return Err(CoreError::new("no shard windows to merge"));
-        }
-        if let Some(m) = &self.metrics {
-            m.sketch_merges.add(shards.len() as u64);
-        }
-        let poisoned = shards
-            .iter()
-            .enumerate()
-            .find_map(|(idx, shard)| shard.degraded.as_ref().map(|reason| (idx, reason)));
-        if let Some((idx, reason)) = poisoned {
-            return Ok(self.record_degraded(format!("shard {idx} window degraded: {reason}")));
-        }
-        let mut merged = shards[0].sketch.clone();
-        for shard in &shards[1..] {
-            merged.merge(&shard.sketch)?;
-        }
-        self.report_sketch(&merged)
-    }
-
-    /// Shared tail of the streaming paths: estimate from sketch state,
-    /// sketched per-class drift tests, alarm-state update.
+    /// Scores accumulated sketch state (shared by the window and shard
+    /// paths).
     fn report_sketch(&mut self, sketch: &BatchSketch) -> Result<BatchReport, CoreError> {
         if sketch.rows() == 0 {
             // Zero observed rows means every feature is the sketch's
@@ -628,33 +566,7 @@ impl BatchMonitor {
                 "cannot score a sketch with zero observed rows",
             ));
         }
-        let (estimate, interval) = match self.policy.alarm_mode() {
-            AlarmMode::Threshold => (self.predictor.predict_from_sketch(sketch)?, None),
-            AlarmMode::Interval => {
-                let interval = self.predictor.predict_interval_from_sketch(sketch)?;
-                (interval.point, Some(interval))
-            }
-        };
-        let per_class_ks = match &self.reference_ecdf {
-            Some(reference) => sketch
-                .ecdfs()
-                .iter()
-                .zip(reference)
-                .enumerate()
-                .map(|(class, (serving, reference))| {
-                    let outcome = serving
-                        .ks_test(reference)
-                        .map_err(|e| CoreError::with_source("sketched drift test", e))?;
-                    Ok(ClassDrift {
-                        class,
-                        statistic: outcome.statistic,
-                        p_value: outcome.p_value,
-                    })
-                })
-                .collect::<Result<Vec<_>, CoreError>>()?,
-            None => Vec::new(),
-        };
-        Ok(self.record(estimate, interval, per_class_ks))
+        self.score(sketch.into())
     }
 
     /// The currently open streaming window, if any.
@@ -1310,7 +1222,7 @@ mod tests {
         let proba = m.predictor().model_outputs(&serving).unwrap();
         let direct = m
             .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba));
+            .predict_from_outputs(&BatchSketch::from_outputs(&proba));
         assert_eq!(streamed.estimate.to_bits(), direct.unwrap().to_bits());
         // A healthy full serving frame stays alarm-free.
         assert!(!streamed.alarm, "{streamed:?}");
@@ -1344,7 +1256,7 @@ mod tests {
         assert!(!streamed.degraded && streamed.estimate.is_finite());
         let direct = m
             .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba))
+            .predict_from_outputs(&BatchSketch::from_outputs(&proba))
             .unwrap();
         assert_eq!(streamed.estimate.to_bits(), direct.to_bits());
         // The frame-level chunk path keeps its typed caller error.
@@ -1357,8 +1269,6 @@ mod tests {
         let (mut m, _) = monitor(MonitorPolicy::default());
         let err = m.merge_shard_sketches(&[]).unwrap_err();
         assert!(err.message.contains("no shard sketches"), "{err}");
-        let err = m.merge_shard_windows(&[]).unwrap_err();
-        assert!(err.message.contains("no shard windows"), "{err}");
         assert_eq!(m.batches_seen(), 0, "failed merges consume no batch index");
         assert!(m.history().is_empty());
     }
@@ -1372,55 +1282,6 @@ mod tests {
             .unwrap_err();
         assert!(err.message.contains("zero observed rows"), "{err}");
         assert_eq!(m.batches_seen(), 0);
-    }
-
-    #[test]
-    fn degraded_shard_window_poisons_the_merged_report() {
-        let (mut m, serving) = monitor(MonitorPolicy {
-            threshold: LEGACY_THRESHOLD,
-            ..MonitorPolicy::default()
-        });
-        let proba = m.predictor().model_outputs(&serving).unwrap();
-        let healthy = ShardWindow {
-            sketch: BatchSketch::from_outputs(&proba),
-            degraded: None,
-        };
-        let poisoned = ShardWindow {
-            sketch: BatchSketch::from_outputs(&proba.select_rows(&[0, 1, 2])),
-            degraded: Some("endpoint down: retry budget exhausted".to_string()),
-        };
-        let r = m.merge_shard_windows(&[healthy.clone(), poisoned]).unwrap();
-        assert!(r.degraded, "{r:?}");
-        assert!(r.estimate.is_nan(), "estimate withheld");
-        let reason = r.degrade_reason.as_deref().unwrap();
-        assert!(
-            reason.contains("shard 1") && reason.contains("endpoint down"),
-            "{reason}"
-        );
-        // An all-healthy fleet still scores, bit-identical to the single
-        // shard's own sketch.
-        let r = m.merge_shard_windows(&[healthy]).unwrap();
-        assert!(!r.degraded && r.estimate.is_finite());
-        let direct = m
-            .predictor()
-            .predict_from_sketch(&BatchSketch::from_outputs(&proba))
-            .unwrap();
-        assert_eq!(r.estimate.to_bits(), direct.to_bits());
-    }
-
-    #[test]
-    fn take_window_shard_exports_sketch_and_poison() {
-        let (mut m, serving) = monitor(MonitorPolicy::default());
-        assert!(m.take_window_shard().is_none(), "no window yet");
-        m.observe_chunk(&serving).unwrap();
-        m.abandon_window("upstream queue lost the tail of the window");
-        let shard = m.take_window_shard().unwrap();
-        assert_eq!(shard.sketch.rows(), serving.n_rows() as u64);
-        assert_eq!(
-            shard.degraded.as_deref(),
-            Some("upstream queue lost the tail of the window")
-        );
-        assert!(m.window().is_none() && m.window_degraded().is_none());
     }
 
     #[test]
@@ -1814,7 +1675,7 @@ mod tests {
         let proba = m.predictor().model_outputs(&serving).unwrap();
         let direct = m
             .predictor()
-            .predict_interval_from_sketch(&BatchSketch::from_outputs(&proba))
+            .predict_interval_from_outputs(&BatchSketch::from_outputs(&proba))
             .unwrap();
         assert_eq!(iv, direct);
         // Shard merges route through the same interval path.

@@ -864,8 +864,8 @@ mod tests {
         let proba = model.predict_proba(&serving);
         assert!(verdicts_identical(&validator, &restored, &proba).unwrap());
         let sketch = crate::BatchSketch::from_outputs(&proba);
-        let a = validator.validate_sketch(&sketch).unwrap();
-        let b = restored.validate_sketch(&sketch).unwrap();
+        let a = validator.validate_outputs(&sketch).unwrap();
+        let b = restored.validate_outputs(&sketch).unwrap();
         assert_eq!(a.within_threshold, b.within_threshold);
         assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
     }

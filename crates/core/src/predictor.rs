@@ -1,7 +1,7 @@
 //! The learned performance predictor (Algorithms 1 and 2).
 
-use crate::engine::{generate_training_examples_resilient, generate_training_examples_seeded};
-use crate::features::prediction_statistics;
+use crate::engine::{generate_batches, GeneratedBatch};
+use crate::features::{prediction_statistics, FeatureSource};
 use crate::interval::{conformal_halfwidth, ScoreInterval, DEFAULT_INTERVAL_ALPHA};
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
@@ -38,7 +38,7 @@ pub struct PredictorConfig {
     /// successfully for the fit to proceed. `1.0` (the default) demands
     /// every task succeed; lowering it lets fitting against a flaky remote
     /// model skip-and-record terminally failed batches (see
-    /// [`generate_batches_resilient`](crate::generate_batches_resilient)).
+    /// [`generate_batches`](crate::generate_batches)).
     pub min_batch_survival: f64,
     /// Miscoverage rate of the predictor's score intervals: a
     /// `1 - interval_alpha` interval (default 0.1 → a 90% interval).
@@ -98,6 +98,16 @@ pub struct TrainingExample {
     pub generator: String,
 }
 
+impl From<GeneratedBatch<'_>> for TrainingExample {
+    fn from(batch: GeneratedBatch<'_>) -> Self {
+        Self {
+            features: prediction_statistics(&batch.proba),
+            score: batch.score,
+            generator: batch.generator.to_string(),
+        }
+    }
+}
+
 /// A learned performance predictor `h` for a fixed black box model (§3).
 ///
 /// Deployed alongside the model, it estimates the model's score on unseen,
@@ -128,47 +138,28 @@ pub struct PerformancePredictor {
 /// predictor falls back to bare ensemble quantiles instead.
 const MIN_CALIBRATION: usize = 8;
 
-/// Checks a serving frame's schema against the fit-time fingerprint.
-pub(crate) fn check_schema_fingerprint(
-    expected: Option<u64>,
-    serving: &DataFrame,
-) -> Result<(), CoreError> {
-    let actual = serving.schema().fingerprint();
-    match expected {
-        Some(expected) if expected != actual => Err(CoreError::new(format!(
+/// The black box model's raw outputs on a serving frame, checked: the
+/// frame must be non-empty and match the fit-time schema fingerprint, and
+/// a terminal serving failure (remote endpoint down) comes back as a
+/// [`CoreError`] whose source chain carries the typed
+/// [`lvp_models::ModelError`] instead of a panic. The one frame entry
+/// point of the predictor, the validator and the monitor.
+pub(crate) fn model_outputs(
+    model: &dyn BlackBoxModel,
+    schema_fingerprint: Option<u64>,
+    frame: &DataFrame,
+) -> Result<DenseMatrix, CoreError> {
+    if frame.n_rows() == 0 {
+        return Err(CoreError::new("serving batch is empty"));
+    }
+    let actual = frame.schema().fingerprint();
+    if let Some(expected) = schema_fingerprint.filter(|&expected| expected != actual) {
+        return Err(CoreError::new(format!(
             "serving frame schema fingerprint {actual:#x} does not match \
              the fit-time schema fingerprint {expected:#x}"
-        ))),
-        _ => Ok(()),
+        )));
     }
-}
-
-/// Runs the data-generation loop of Algorithm 1 (lines 3–12): applies each
-/// generator `runs` times and records `(ζ_corrupt, ℓ_corrupt)` pairs.
-///
-/// Convenience wrapper over
-/// [`generate_training_examples_seeded`](crate::generate_training_examples_seeded):
-/// the master seed is drawn from `rng` and the runs are fanned out across
-/// threads (deterministically — see [`crate::engine`]).
-pub fn generate_training_examples(
-    model: &dyn BlackBoxModel,
-    test: &DataFrame,
-    generators: &[Box<dyn ErrorGen>],
-    runs_per_generator: usize,
-    clean_copies: usize,
-    metric: Metric,
-    rng: &mut StdRng,
-) -> Result<Vec<TrainingExample>, CoreError> {
-    generate_training_examples_seeded(
-        model,
-        test,
-        generators,
-        runs_per_generator,
-        clean_copies,
-        metric,
-        rng.gen(),
-        true,
-    )
+    Ok(model.try_predict_proba(frame)?)
 }
 
 impl PerformancePredictor {
@@ -187,7 +178,7 @@ impl PerformancePredictor {
     /// [`Self::fit`] with optional telemetry: the Algorithm 1 generation
     /// loop records its per-phase timings and batch counters into
     /// `registry` (see
-    /// [`generate_batches_instrumented`](crate::generate_batches_instrumented)).
+    /// [`generate_batches`](crate::generate_batches)).
     /// The fitted predictor is bit-identical with and without telemetry.
     pub fn fit_instrumented(
         model: Arc<dyn BlackBoxModel>,
@@ -209,7 +200,7 @@ impl PerformancePredictor {
         let test_proba = model.try_predict_proba(test)?;
         let test_score = config.metric.score(&test_proba, test.labels())?;
 
-        let examples = generate_training_examples_resilient(
+        let examples = generate_batches(
             model.as_ref(),
             test,
             generators,
@@ -220,6 +211,7 @@ impl PerformancePredictor {
             config.parallel,
             config.min_batch_survival,
             telemetry,
+            |batch| TrainingExample::from(batch),
         )?
         .results;
         let mut predictor = Self::fit_from_examples(model, examples, test_score, config, rng)?;
@@ -323,95 +315,51 @@ impl PerformancePredictor {
     /// Algorithm 2: estimates the model's score on an unseen, unlabeled
     /// serving batch.
     pub fn predict(&self, serving: &DataFrame) -> Result<f64, CoreError> {
-        self.predict_with_outputs(serving)
-            .map(|(estimate, _)| estimate)
-    }
-
-    /// [`Self::predict`], also returning the black box model's raw output
-    /// matrix for the batch. Consumers that need the outputs anyway (e.g.
-    /// a monitor running per-class drift tests against reference outputs)
-    /// avoid a second `predict_proba` pass.
-    pub fn predict_with_outputs(
-        &self,
-        serving: &DataFrame,
-    ) -> Result<(f64, DenseMatrix), CoreError> {
-        let proba = self.model_outputs(serving)?;
-        let estimate = self.predict_from_outputs(&proba)?;
-        Ok((estimate, proba))
+        self.predict_from_outputs(&self.model_outputs(serving)?)
     }
 
     /// The black box model's raw outputs on a non-empty, schema-checked
-    /// frame (no score estimation).
+    /// frame (no score estimation). A terminal serving failure becomes a
+    /// [`CoreError`] carrying the typed [`lvp_models::ModelError`], so the
+    /// monitor can degrade the batch instead of aborting the run.
     pub fn model_outputs(&self, frame: &DataFrame) -> Result<DenseMatrix, CoreError> {
-        if frame.n_rows() == 0 {
-            return Err(CoreError::new("serving batch is empty"));
-        }
-        check_schema_fingerprint(self.schema_fingerprint, frame)?;
-        // Fallible path: a remote model's terminal serving failure becomes
-        // a CoreError whose source chain carries the typed ModelError, so
-        // the monitor can degrade the batch instead of aborting the run.
-        Ok(self.model.try_predict_proba(frame)?)
+        model_outputs(self.model.as_ref(), self.schema_fingerprint, frame)
     }
 
-    /// Estimates the score directly from a batch of model outputs.
+    /// Estimates the score from a batch's output distribution: a
+    /// materialized output matrix (`&DenseMatrix`, the exact path) or
+    /// streamed [`BatchSketch`](crate::BatchSketch) state (`&BatchSketch`,
+    /// built via [`crate::BatchSketch::observe_chunk`] or merged from
+    /// shards; each percentile feature is within the sketch's proven
+    /// value-error bound of the exact path).
     ///
-    /// The output matrix must have exactly as many class columns as the
-    /// model the predictor was fitted against — a mismatched width would
-    /// misalign every percentile block the meta-regressor consumes, so it
-    /// is rejected (in release builds too, not just under debug assertions).
-    pub fn predict_from_outputs(&self, proba: &DenseMatrix) -> Result<f64, CoreError> {
-        let features = self.features_from_outputs(proba)?;
+    /// The source must have exactly as many class columns as the model the
+    /// predictor was fitted against — a mismatched width would misalign
+    /// every percentile block the meta-regressor consumes, so it is
+    /// rejected (in release builds too, not just under debug assertions).
+    pub fn predict_from_outputs<'a>(
+        &self,
+        source: impl Into<FeatureSource<'a>>,
+    ) -> Result<f64, CoreError> {
+        let features = self.features(source.into())?;
         let x = DenseMatrix::from_rows(&[features]).expect("single feature row");
         Ok(self.regressor.predict(&x)[0].clamp(0.0, 1.0))
     }
 
-    /// Estimates the score from streamed sketch state — the fixed-memory
-    /// counterpart of [`Self::predict_from_outputs`] for batches built
-    /// incrementally via [`crate::BatchSketch::observe_chunk`] (or merged
-    /// from shards). Each percentile feature is within the sketches'
-    /// proven value-error bound of the exact path.
-    pub fn predict_from_sketch(&self, sketch: &crate::BatchSketch) -> Result<f64, CoreError> {
-        let features = self.features_from_sketch(sketch)?;
-        let x = DenseMatrix::from_rows(&[features]).expect("single feature row");
-        Ok(self.regressor.predict(&x)[0].clamp(0.0, 1.0))
-    }
-
-    /// Checked featurization of a raw output matrix.
-    fn features_from_outputs(&self, proba: &DenseMatrix) -> Result<Vec<f64>, CoreError> {
-        if proba.cols() != self.n_classes {
+    /// Checked featurization of one batch's output distribution.
+    fn features(&self, source: FeatureSource<'_>) -> Result<Vec<f64>, CoreError> {
+        if source.n_classes() != self.n_classes {
             return Err(CoreError::new(format!(
-                "output matrix has {} class columns but the predictor was \
+                "output batch has {} class columns but the predictor was \
                  fitted for {} classes",
-                proba.cols(),
+                source.n_classes(),
                 self.n_classes
             )));
         }
-        let features = prediction_statistics(proba);
+        let features = source.percentile_features();
         if features.len() != self.n_feature_dims {
             return Err(CoreError::new(format!(
                 "featurization produced {} dims but the meta-regressor \
-                 expects {}",
-                features.len(),
-                self.n_feature_dims
-            )));
-        }
-        Ok(features)
-    }
-
-    /// Checked featurization of streamed sketch state.
-    fn features_from_sketch(&self, sketch: &crate::BatchSketch) -> Result<Vec<f64>, CoreError> {
-        if sketch.n_classes() != self.n_classes {
-            return Err(CoreError::new(format!(
-                "batch sketch tracks {} class columns but the predictor was \
-                 fitted for {} classes",
-                sketch.n_classes(),
-                self.n_classes
-            )));
-        }
-        let features = sketch.prediction_statistics();
-        if features.len() != self.n_feature_dims {
-            return Err(CoreError::new(format!(
-                "sketch featurization produced {} dims but the meta-regressor \
                  expects {}",
                 features.len(),
                 self.n_feature_dims
@@ -426,38 +374,16 @@ impl PerformancePredictor {
     /// split-conformal half-width calibrated at fit time. The interval's
     /// `point` is bit-identical to what [`Self::predict`] returns.
     pub fn predict_interval(&self, serving: &DataFrame) -> Result<ScoreInterval, CoreError> {
-        self.predict_interval_with_outputs(serving)
-            .map(|(interval, _)| interval)
+        self.predict_interval_from_outputs(&self.model_outputs(serving)?)
     }
 
-    /// [`Self::predict_interval`], also returning the model's raw output
-    /// matrix (the interval counterpart of [`Self::predict_with_outputs`]).
-    pub fn predict_interval_with_outputs(
-        &self,
-        serving: &DataFrame,
-    ) -> Result<(ScoreInterval, DenseMatrix), CoreError> {
-        let proba = self.model_outputs(serving)?;
-        let interval = self.predict_interval_from_outputs(&proba)?;
-        Ok((interval, proba))
-    }
-
-    /// Interval estimate directly from a batch of model outputs (the
+    /// Interval estimate from a batch's output matrix or sketch (the
     /// interval counterpart of [`Self::predict_from_outputs`]).
-    pub fn predict_interval_from_outputs(
+    pub fn predict_interval_from_outputs<'a>(
         &self,
-        proba: &DenseMatrix,
+        source: impl Into<FeatureSource<'a>>,
     ) -> Result<ScoreInterval, CoreError> {
-        let features = self.features_from_outputs(proba)?;
-        Ok(self.interval_from_feature_row(&features))
-    }
-
-    /// Interval estimate from streamed sketch state (the interval
-    /// counterpart of [`Self::predict_from_sketch`]).
-    pub fn predict_interval_from_sketch(
-        &self,
-        sketch: &crate::BatchSketch,
-    ) -> Result<ScoreInterval, CoreError> {
-        let features = self.features_from_sketch(sketch)?;
+        let features = self.features(source.into())?;
         Ok(self.interval_from_feature_row(&features))
     }
 
@@ -657,13 +583,14 @@ mod tests {
     #[test]
     fn interval_paths_agree_on_outputs_and_sketches() {
         let (predictor, serving) = fitted_predictor();
-        let (interval, proba) = predictor.predict_interval_with_outputs(&serving).unwrap();
+        let interval = predictor.predict_interval(&serving).unwrap();
+        let proba = predictor.model_outputs(&serving).unwrap();
         let from_outputs = predictor.predict_interval_from_outputs(&proba).unwrap();
         assert_eq!(interval, from_outputs);
         // The sketch path answers within the sketch error bound, with the
         // same invariants.
         let sketch = crate::BatchSketch::from_outputs(&proba);
-        let from_sketch = predictor.predict_interval_from_sketch(&sketch).unwrap();
+        let from_sketch = predictor.predict_interval_from_outputs(&sketch).unwrap();
         from_sketch.validate().unwrap();
         assert!((from_sketch.point - interval.point).abs() < 0.05);
         // Wrong-width outputs are rejected like on the point path.
@@ -790,14 +717,15 @@ mod tests {
         let model = train_logistic_regression(&df, &mut rng).unwrap();
         let gens: Vec<Box<dyn ErrorGen>> =
             vec![Box::new(MissingValues::all_categorical(df.schema()))];
-        let ex = generate_training_examples(
+        let ex = crate::generate_training_examples_seeded(
             model.as_ref(),
             &df,
             &gens,
             5,
             2,
             Metric::Accuracy,
-            &mut rng,
+            rng.gen(),
+            true,
         )
         .unwrap();
         assert_eq!(ex.len(), 7);

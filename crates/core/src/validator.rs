@@ -10,8 +10,9 @@
 //! exactly this construction, reusing the hypothesis-test signal of
 //! Lipton et al.).
 
-use crate::engine::generate_batches_seeded;
-use crate::features::{featurize_source, BatchSketch, FeatureSource, KsReference};
+use crate::engine::generate_batches;
+use crate::features::FeatureSource;
+use crate::predictor::model_outputs;
 use crate::{CoreError, Metric};
 use lvp_corruptions::ErrorGen;
 use lvp_dataframe::DataFrame;
@@ -23,23 +24,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Featurizes one batch of materialized model outputs: percentile
-/// statistics plus, when `test_columns` is given, per-class KS statistic
-/// and p-value against the retained test-time outputs (the exact path of
-/// [`featurize_source`]).
+/// Featurizes one batch: percentile statistics plus, when a KS reference
+/// `(test_columns, test_ecdf)` is given, per-class KS statistic and
+/// p-value against the retained test-time outputs (see
+/// [`FeatureSource::per_class_ks`] for which reference each source reads).
 ///
 /// Free function (rather than a method) so the fitting loop can featurize
-/// before the validator exists, and so the per-class test columns are
-/// materialized once instead of on every call.
-fn featurize_outputs(
-    proba: &DenseMatrix,
-    test_columns: Option<&[Vec<f64>]>,
+/// before the validator exists.
+fn featurize_source(
+    source: FeatureSource<'_>,
+    ks_reference: Option<(&[Vec<f64>], &[EcdfSketch])>,
 ) -> Result<Vec<f64>, CoreError> {
-    let reference = match test_columns {
-        Some(cols) => KsReference::Exact(cols),
-        None => KsReference::None,
-    };
-    featurize_source(&FeatureSource::Exact(proba), &reference)
+    let mut f = source.percentile_features();
+    if let Some((columns, ecdfs)) = ks_reference {
+        for outcome in source.per_class_ks(columns, ecdfs)? {
+            f.push(outcome.statistic);
+            f.push(outcome.p_value);
+        }
+    }
+    Ok(f)
 }
 
 /// Compresses the retained per-class test-time output columns into unit
@@ -163,17 +166,22 @@ impl PerformanceValidator {
             return Err(CoreError::new("threshold must lie in [0, 1)"));
         }
         // Retain the test-time outputs: the KS features compare serving
-        // batches against them (the "major difference" §3 points out).
-        let test_outputs = model.predict_proba(test);
+        // batches against them (the "major difference" §3 points out). A
+        // terminal serving failure fails the fit with the typed cause on
+        // the error's source chain.
+        let test_outputs = model.try_predict_proba(test)?;
         let test_score = config.metric.score(&test_outputs, test.labels())?;
         let test_columns: Vec<Vec<f64>> = (0..test_outputs.cols())
             .map(|c| test_outputs.column(c))
             .collect();
-        let ks_columns = config.use_ks_features.then_some(test_columns.as_slice());
+        let test_ecdf = sketch_test_columns(&test_columns);
+        let ks_reference = config
+            .use_ks_features
+            .then_some((test_columns.as_slice(), test_ecdf.as_slice()));
 
         // Algorithm 1's generation loop with binary labels, fanned out by
         // the deterministic batch engine.
-        let generated: Vec<(Vec<f64>, u32)> = generate_batches_seeded(
+        let generated: Vec<(Vec<f64>, u32)> = generate_batches(
             model.as_ref(),
             test,
             generators,
@@ -182,22 +190,25 @@ impl PerformanceValidator {
             config.metric,
             rng.gen(),
             config.parallel,
+            1.0,
+            None,
             |batch| {
-                let f = featurize_outputs(&batch.proba, ks_columns)
+                let f = featurize_source((&batch.proba).into(), ks_reference)
                     .expect("fit-time outputs match the fitted model's class count");
                 (
                     f,
                     u32::from(batch.score >= (1.0 - config.threshold) * test_score),
                 )
             },
-        )?;
+        )?
+        .results;
         let (mut features, mut labels): (Vec<Vec<f64>>, Vec<u32>) = generated.into_iter().unzip();
 
         if labels.iter().all(|&l| l == 0) || labels.iter().all(|&l| l == 1) {
             // Degenerate training set: corruption always (or never) broke
             // the threshold. Inject the clean full-batch case to keep two
             // classes, mirroring p_err = 0.
-            features.push(featurize_outputs(&test_outputs, ks_columns)?);
+            features.push(featurize_source((&test_outputs).into(), ks_reference)?);
             labels.push(1);
             if labels.iter().all(|&l| l == 1) {
                 // Still degenerate — synthesize a catastrophic case from
@@ -205,7 +216,7 @@ impl PerformanceValidator {
                 let m = model.n_classes();
                 let uniform =
                     DenseMatrix::from_vec(4, m, vec![1.0 / m as f64; 4 * m]).expect("sized");
-                features.push(featurize_outputs(&uniform, ks_columns)?);
+                features.push(featurize_source((&uniform).into(), ks_reference)?);
                 labels.push(0);
             }
         }
@@ -216,7 +227,6 @@ impl PerformanceValidator {
         );
         let mut gbdt_rng = StdRng::seed_from_u64(rng.gen());
         let classifier = GbdtClassifier::fit(&x, &labels, 2, &config.gbdt, &mut gbdt_rng)?;
-        let test_ecdf = sketch_test_columns(&test_columns);
         Ok(Self {
             model,
             classifier,
@@ -230,78 +240,52 @@ impl PerformanceValidator {
         })
     }
 
-    /// Featurizes one batch of model outputs: percentile statistics plus
-    /// (optionally) per-class KS statistic and p-value against the retained
-    /// test-time outputs. Errors when the output matrix's class count
-    /// disagrees with the retained test columns.
-    pub fn featurize(&self, proba: &DenseMatrix) -> Result<Vec<f64>, CoreError> {
-        featurize_outputs(
-            proba,
-            self.use_ks_features.then_some(self.test_columns.as_slice()),
-        )
-    }
-
-    /// Featurizes streamed sketch state: percentile statistics queried
-    /// from the quantile sketches plus (optionally) per-class KS features
-    /// computed on compressed ECDFs against the retained test-output
-    /// sketches. Same feature layout as [`Self::featurize`], each
-    /// dimension within the sketches' proven error bound of the exact
-    /// path.
-    pub fn featurize_sketch(&self, sketch: &BatchSketch) -> Result<Vec<f64>, CoreError> {
-        let reference = if self.use_ks_features {
-            KsReference::Sketched(&self.test_ecdf)
-        } else {
-            KsReference::None
-        };
-        featurize_source(&FeatureSource::Sketched(sketch), &reference)
-    }
-
-    /// Decides from streamed sketch state directly — the fixed-memory
-    /// counterpart of [`Self::validate_outputs`] for batches too large (or
-    /// too distributed) to materialize.
-    pub fn validate_sketch(&self, sketch: &BatchSketch) -> Result<ValidationOutcome, CoreError> {
-        if sketch.n_classes() != self.model.n_classes() {
+    /// Featurizes one batch — a materialized output matrix or streamed
+    /// [`BatchSketch`](crate::BatchSketch) state: percentile statistics
+    /// plus (optionally) per-class KS statistic and p-value against the
+    /// retained test-time outputs. A sketch gets the same feature layout,
+    /// each percentile within the sketch's proven error bound of the exact
+    /// path. Errors when the batch's class count disagrees with the
+    /// fitted model's.
+    pub fn featurize<'a>(
+        &self,
+        source: impl Into<FeatureSource<'a>>,
+    ) -> Result<Vec<f64>, CoreError> {
+        let source = source.into();
+        if source.n_classes() != self.model.n_classes() {
             return Err(CoreError::new(format!(
-                "batch sketch tracks {} class columns but the validator was \
+                "output batch has {} class columns but the validator was \
                  fitted for {} classes",
-                sketch.n_classes(),
+                source.n_classes(),
                 self.model.n_classes()
             )));
         }
-        let features = self.featurize_sketch(sketch)?;
-        self.classify(features)
+        let ks_reference = self
+            .use_ks_features
+            .then_some((self.test_columns.as_slice(), self.test_ecdf.as_slice()));
+        featurize_source(source, ks_reference)
     }
 
     /// Decides whether the model's predictions on the serving batch can be
-    /// trusted.
+    /// trusted. A terminal serving failure comes back as a [`CoreError`]
+    /// carrying the typed [`lvp_models::ModelError`].
     pub fn validate(&self, serving: &DataFrame) -> Result<ValidationOutcome, CoreError> {
-        if serving.n_rows() == 0 {
-            return Err(CoreError::new("serving batch is empty"));
-        }
-        crate::predictor::check_schema_fingerprint(self.schema_fingerprint, serving)?;
-        let proba = self.model.predict_proba(serving);
-        self.validate_outputs(&proba)
+        self.validate_outputs(&model_outputs(
+            self.model.as_ref(),
+            self.schema_fingerprint,
+            serving,
+        )?)
     }
 
-    /// Decides from a batch of model outputs directly.
-    pub fn validate_outputs(&self, proba: &DenseMatrix) -> Result<ValidationOutcome, CoreError> {
-        if proba.cols() != self.model.n_classes() {
-            return Err(CoreError::new(format!(
-                "output matrix has {} class columns but the validator was \
-                 fitted for {} classes",
-                proba.cols(),
-                self.model.n_classes()
-            )));
-        }
-        let features = self.featurize(proba)?;
-        self.classify(features)
-    }
-
-    /// Runs the fitted GBDT over one feature row (shared tail of the exact
-    /// and sketched validation paths).
-    fn classify(&self, features: Vec<f64>) -> Result<ValidationOutcome, CoreError> {
+    /// Decides from a batch's output matrix or sketch directly (the sketch
+    /// being the fixed-memory path for batches too large, or too
+    /// distributed, to materialize).
+    pub fn validate_outputs<'a>(
+        &self,
+        source: impl Into<FeatureSource<'a>>,
+    ) -> Result<ValidationOutcome, CoreError> {
         let x = CsrMatrix::from_dense(
-            &DenseMatrix::from_rows(&[features]).expect("single feature row"),
+            &DenseMatrix::from_rows(&[self.featurize(source)?]).expect("single feature row"),
         );
         let p = self.classifier.predict_proba(&x);
         let confidence = p.get(0, 1);
@@ -388,9 +372,11 @@ impl PerformanceValidator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchSketch;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_logistic_regression, ModelError};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn fitted_validator(threshold: f64) -> (PerformanceValidator, DataFrame) {
         let df = toy_frame(300);
@@ -492,7 +478,7 @@ mod tests {
         let proba = validator.model.predict_proba(&serving);
         let exact = validator.validate_outputs(&proba).unwrap();
         let sketch = BatchSketch::from_outputs(&proba);
-        let sketched = validator.validate_sketch(&sketch).unwrap();
+        let sketched = validator.validate_outputs(&sketch).unwrap();
         assert_eq!(exact.within_threshold, sketched.within_threshold);
     }
 
@@ -502,7 +488,7 @@ mod tests {
         let proba = validator.model.predict_proba(&serving);
         let exact = validator.featurize(&proba).unwrap();
         let sketch = BatchSketch::from_outputs(&proba);
-        let sketched = validator.featurize_sketch(&sketch).unwrap();
+        let sketched = validator.featurize(&sketch).unwrap();
         assert_eq!(exact.len(), sketched.len());
         // Percentile block: bounded by the quantile sketches' proven
         // value-error bound. KS block: p-values are smooth in D, so just
@@ -521,7 +507,7 @@ mod tests {
     fn sketched_validation_rejects_mismatched_class_count() {
         let (validator, _) = fitted_validator(0.05);
         let sketch = BatchSketch::new(3);
-        assert!(validator.validate_sketch(&sketch).is_err());
+        assert!(validator.validate_outputs(&sketch).is_err());
     }
 
     #[test]
@@ -529,5 +515,56 @@ mod tests {
         let (validator, _) = fitted_validator(0.05);
         let rebuilt = sketch_test_columns(validator.test_columns());
         assert_eq!(validator.test_ecdf(), rebuilt.as_slice());
+    }
+
+    /// A remote-style model: `try_predict_proba` fails while `down` is set,
+    /// and the infallible `predict_proba` panics on that failure, like
+    /// `RemoteModel` and `ResilientModel` do.
+    struct Switchable {
+        inner: Box<dyn BlackBoxModel>,
+        down: AtomicBool,
+    }
+
+    impl BlackBoxModel for Switchable {
+        fn predict_proba(&self, data: &DataFrame) -> DenseMatrix {
+            self.try_predict_proba(data)
+                .expect("remote prediction failed terminally")
+        }
+        fn try_predict_proba(&self, data: &DataFrame) -> Result<DenseMatrix, ModelError> {
+            if self.down.load(Ordering::SeqCst) {
+                return Err(ModelError::transient("endpoint down"));
+            }
+            Ok(self.inner.predict_proba(data))
+        }
+        fn n_classes(&self) -> usize {
+            self.inner.n_classes()
+        }
+        fn name(&self) -> &str {
+            "switchable"
+        }
+    }
+
+    #[test]
+    fn remote_model_failures_are_typed_errors_not_panics() {
+        let df = toy_frame(200);
+        let mut rng = StdRng::seed_from_u64(13);
+        let (train, test) = df.split_frac(0.5, &mut rng);
+        let model = Arc::new(Switchable {
+            inner: train_logistic_regression(&train, &mut rng).unwrap(),
+            down: AtomicBool::new(false),
+        });
+        let gens = standard_tabular_suite(test.schema());
+        let config = ValidatorConfig::fast(0.05);
+        let validator =
+            PerformanceValidator::fit(model.clone(), &test, &gens, &config, &mut rng).unwrap();
+
+        model.down.store(true, Ordering::SeqCst);
+        let err = validator.validate(&test).unwrap_err();
+        assert!(err.model_error().is_some(), "{err}");
+        let err = match PerformanceValidator::fit(model, &test, &gens, &config, &mut rng) {
+            Err(err) => err,
+            Ok(_) => panic!("fit succeeded against a failing model"),
+        };
+        assert!(err.model_error().is_some(), "{err}");
     }
 }

@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_the_frame() {
-        let ops = vec![
+        let ops = [
             estimate_op(0.5),
             JournalOp::Finish { key: key() },
             JournalOp::AbandonWindow {

@@ -371,7 +371,7 @@ fn torn_and_bit_flipped_tails_truncate_to_the_last_durable_record() {
     // The recovered prefix matches some earlier boundary exactly.
     let prefix_state = to_json(&recovered.snapshot()).unwrap();
     assert!(
-        trace.state_json.iter().any(|s| *s == prefix_state),
+        trace.state_json.contains(&prefix_state),
         "bit-flip recovery must land on a boundary state"
     );
     let _ = std::fs::remove_dir_all(&dir);

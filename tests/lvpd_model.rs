@@ -4,19 +4,19 @@
 //! inputs and mid-sequence compacting saves — must answer identically
 //! with and without the write-ahead journal, and a crash at any request
 //! boundary must recover exactly the live state at that boundary. The
-//! untrusted byte inputs (wire lines, journal bytes, artifact envelopes)
-//! must come back as typed results, never panics.
+//! untrusted byte inputs (wire lines, journal bytes, artifact envelopes
+//! and artifact files) must come back as typed results, never panics.
 
 use lvp_core::{
-    to_json, unwrap_envelope, wrap_envelope, BatchMonitor, MonitorPolicy, PerformancePredictor,
-    PredictorConfig, ScoreInterval, ServingArtifact,
+    load_json, to_json, unwrap_envelope, wrap_envelope, BatchMonitor, MonitorPolicy,
+    PerformancePredictor, PredictorConfig, ScoreInterval, ServingArtifact,
 };
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
 use lvp_models::{train_logistic_regression, BlackBoxModel, BreakerConfig, CircuitState};
 use lvp_server::{
     encode_record, scan_journal, Daemon, DaemonConfig, DurabilityConfig, FsyncPolicy, JournalOp,
-    JournalRecord, MonitorKey, Request, Response,
+    JournalRecord, MonitorKey, RegistrySnapshot, Request, Response,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -380,6 +380,22 @@ fn valid_journal() -> Vec<u8> {
         .collect()
 }
 
+/// Valid JSON of both artifact kinds `lvpd` loads from disk: a serving
+/// artifact and a registry snapshot holding one deployment.
+fn valid_artifact_json() -> &'static [String; 2] {
+    static JSON: OnceLock<[String; 2]> = OnceLock::new();
+    JSON.get_or_init(|| {
+        let daemon = Daemon::new(config());
+        let mut req = Request::targeted("register", &wire_key());
+        req.artifact = Some(artifact().clone());
+        assert!(daemon.handle_request(req).is_ok());
+        [
+            to_json(artifact()).unwrap(),
+            to_json(&daemon.snapshot()).unwrap(),
+        ]
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -432,5 +448,29 @@ proptest! {
         let mut flipped = wrapped;
         flip_bits(&mut flipped, &flips);
         let _ = unwrap_envelope(&flipped);
+    }
+
+    #[test]
+    fn load_json_types_arbitrary_and_bit_flipped_artifact_files(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        flips in prop::collection::vec(0usize..1 << 24, 1..4),
+        which in 0usize..2,
+    ) {
+        let dir = std::env::temp_dir().join(format!("lvpd-load-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.json");
+        let json = valid_artifact_json()[which].as_bytes();
+        // A flipped envelope exercises the integrity frame; flipped bare
+        // JSON (the legacy unframed format) reaches the deserializer.
+        let mut enveloped = wrap_envelope(json);
+        flip_bits(&mut enveloped, &flips);
+        let mut bare = json.to_vec();
+        flip_bits(&mut bare, &flips);
+        for input in [bytes, enveloped, bare] {
+            std::fs::write(&path, &input).unwrap();
+            let _ = load_json::<ServingArtifact>(&path);
+            let _ = load_json::<RegistrySnapshot>(&path);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
