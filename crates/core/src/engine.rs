@@ -28,21 +28,16 @@ use std::time::Instant;
 
 /// Derives the RNG seed for one (generator, run) task.
 ///
-/// Mixes the three inputs through two rounds of the splitmix64 finalizer so
-/// that neighbouring task coordinates produce statistically unrelated
-/// streams. The mapping is a pure function — the cornerstone of the
+/// Mixes the three inputs through [`lvp_models::mix64`] (two rounds of the
+/// splitmix64 finalizer) so that neighbouring task coordinates produce
+/// statistically unrelated streams. The mapping is a pure function — the cornerstone of the
 /// engine's thread-count-independent determinism.
 pub fn derive_run_seed(master_seed: u64, generator_idx: usize, run_idx: usize) -> u64 {
-    let mut z = master_seed
-        ^ (generator_idx as u64).wrapping_mul(0xA24B_AED4_963E_E407)
-        ^ (run_idx as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25);
-    for _ in 0..2 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-    }
-    z
+    lvp_models::mix64(
+        master_seed
+            ^ (generator_idx as u64).wrapping_mul(0xA24B_AED4_963E_E407)
+            ^ (run_idx as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25),
+    )
 }
 
 /// Lower bound for the random subsample size used when corrupting the test
@@ -356,7 +351,7 @@ mod tests {
     use super::*;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
 
     #[test]
     fn run_seeds_are_distinct_across_tasks() {
@@ -411,7 +406,7 @@ mod tests {
     fn instrumented_engine_counts_batches_and_leaves_output_unchanged() {
         let df = toy_frame(100);
         let mut rng = StdRng::seed_from_u64(13);
-        let mut model = train_logistic_regression(&df, &mut rng).unwrap();
+        let mut model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let registry = Registry::new();
         model.attach_telemetry(&registry);
         let gens = standard_tabular_suite(df.schema());
@@ -468,7 +463,7 @@ mod tests {
     fn parallel_output_matches_sequential() {
         let df = toy_frame(120);
         let mut rng = StdRng::seed_from_u64(7);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
         let sequential = generate_training_examples_seeded(
             model.as_ref(),
@@ -501,7 +496,7 @@ mod tests {
     fn tiny_frames_generate_without_panicking() {
         let df = toy_frame(3);
         let mut rng = StdRng::seed_from_u64(8);
-        let model = train_logistic_regression(&toy_frame(40), &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &toy_frame(40), &mut rng).unwrap();
         let gens = standard_tabular_suite(df.schema());
         let ex = generate_training_examples_seeded(
             model.as_ref(),
@@ -551,7 +546,7 @@ mod tests {
         let df = toy_frame(90);
         let mut rng = StdRng::seed_from_u64(21);
         let model = SizePoisoned {
-            inner: train_logistic_regression(&df, &mut rng).unwrap(),
+            inner: train_model(ModelKind::Lr, &df, &mut rng).unwrap(),
             poisoned_rows: 5,
         };
         let gens = standard_tabular_suite(df.schema());
@@ -613,7 +608,7 @@ mod tests {
         let df = toy_frame(40);
         let mut rng = StdRng::seed_from_u64(22);
         let model = SizePoisoned {
-            inner: train_logistic_regression(&df, &mut rng).unwrap(),
+            inner: train_model(ModelKind::Lr, &df, &mut rng).unwrap(),
             poisoned_rows: 1, // every batch fails
         };
         let gens = standard_tabular_suite(df.schema());

@@ -375,7 +375,7 @@ mod tests {
     use crate::BatchSketch;
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::{train_logistic_regression, ModelError};
+    use lvp_models::{train_model, ModelError, ModelKind};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn fitted_validator(threshold: f64) -> (PerformanceValidator, DataFrame) {
@@ -384,7 +384,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let validator = PerformanceValidator::fit(
             model,
@@ -456,7 +456,7 @@ mod tests {
         let df = toy_frame(60);
         let mut rng = StdRng::seed_from_u64(12);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&df, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &df, &mut rng).unwrap());
         let gens = standard_tabular_suite(df.schema());
         let bad = ValidatorConfig {
             threshold: 1.5,
@@ -550,7 +550,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let (train, test) = df.split_frac(0.5, &mut rng);
         let model = Arc::new(Switchable {
-            inner: train_logistic_regression(&train, &mut rng).unwrap(),
+            inner: train_model(ModelKind::Lr, &train, &mut rng).unwrap(),
             down: AtomicBool::new(false),
         });
         let gens = standard_tabular_suite(test.schema());

@@ -7,39 +7,33 @@
 //!
 //! * [`auto_sklearn_like`] — budgeted candidate evaluation with successive
 //!   halving across all tabular families and their hyperparameter grids,
-//! * [`tpot_like`] — a small evolutionary search mutating pipeline genomes
-//!   (model family, hyperparameters, featurization variant),
+//! * [`tpot_like`] — a small evolutionary search mutating candidate
+//!   classifiers (model family and hyperparameters),
 //! * [`auto_keras_like`] — architecture search over convolutional network
 //!   widths,
 //! * [`large_convnet`] — the larger hand-specified convnet of Figure 6.
+//!
+//! Every searcher scores its candidates by the accuracy on one 80/20
+//! holdout split of the featurized training rows.
 
 use crate::convnet::{ConvNet, ConvNetConfig};
-use crate::gbdt::{GbdtClassifier, GbdtConfig};
-use crate::linear::{LogisticRegression, LrConfig, Penalty};
-use crate::mlp::{MlpConfig, NeuralNet};
-use crate::pipeline::PipelineModel;
-use crate::{BlackBoxModel, Classifier, ModelError};
+use crate::gbdt::GbdtConfig;
+use crate::linear::{LrConfig, Penalty};
+use crate::mlp::MlpConfig;
+use crate::pipeline::{
+    convnet_pipeline, fit_pipeline, holdout_accuracy, image_side, ClassifierSpec,
+};
+use crate::{BlackBoxModel, ModelError};
 use lvp_dataframe::DataFrame;
-use lvp_featurize::{FeaturePipeline, PipelineConfig};
-use lvp_linalg::CsrMatrix;
+use lvp_featurize::PipelineConfig;
+use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// One candidate pipeline genome: a model family configuration plus a
-/// featurization variant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Genome {
-    /// Logistic regression candidate.
-    Lr(LrConfig),
-    /// Neural network candidate.
-    Mlp(MlpConfig),
-    /// Gradient-boosted trees candidate.
-    Gbdt(GbdtConfig),
-}
-
-impl Genome {
+/// The searchers' candidate space over the tabular classifier families.
+impl ClassifierSpec {
     fn random(rng: &mut impl Rng) -> Self {
         match rng.gen_range(0..3) {
-            0 => Genome::Lr(LrConfig {
+            0 => Self::Lr(LrConfig {
                 penalty: if rng.gen_bool(0.5) {
                     Penalty::L2(10f64.powf(rng.gen_range(-5.0..-2.0)))
                 } else {
@@ -49,14 +43,14 @@ impl Genome {
                 epochs: rng.gen_range(8..20),
                 batch_size: 32,
             }),
-            1 => Genome::Mlp(MlpConfig {
+            1 => Self::Mlp(MlpConfig {
                 hidden1: *[16, 32, 64].get(rng.gen_range(0..3)).unwrap(),
                 hidden2: *[8, 16, 32].get(rng.gen_range(0..3)).unwrap(),
                 learning_rate: 10f64.powf(rng.gen_range(-3.0..-1.5)),
                 epochs: rng.gen_range(6..14),
                 batch_size: 32,
             }),
-            _ => Genome::Gbdt(GbdtConfig {
+            _ => Self::Gbdt(GbdtConfig {
                 n_rounds: rng.gen_range(10..40),
                 max_depth: rng.gen_range(2..5),
                 learning_rate: rng.gen_range(0.1..0.5),
@@ -69,15 +63,15 @@ impl Genome {
     fn mutate(&self, rng: &mut impl Rng) -> Self {
         let mut g = self.clone();
         match &mut g {
-            Genome::Lr(cfg) => match rng.gen_range(0..2) {
+            Self::Lr(cfg) => match rng.gen_range(0..2) {
                 0 => cfg.learning_rate = (cfg.learning_rate * rng.gen_range(0.5..2.0)).min(0.5),
                 _ => cfg.epochs = (cfg.epochs + rng.gen_range(0..6)).clamp(5, 25),
             },
-            Genome::Mlp(cfg) => match rng.gen_range(0..2) {
+            Self::Mlp(cfg) => match rng.gen_range(0..2) {
                 0 => cfg.hidden1 = (cfg.hidden1 * if rng.gen_bool(0.5) { 2 } else { 1 }).min(128),
                 _ => cfg.learning_rate = (cfg.learning_rate * rng.gen_range(0.5..2.0)).min(0.1),
             },
-            Genome::Gbdt(cfg) => match rng.gen_range(0..3) {
+            Self::Gbdt(cfg) => match rng.gen_range(0..3) {
                 0 => cfg.n_rounds = (cfg.n_rounds + rng.gen_range(1..15)).min(60),
                 1 => cfg.max_depth = (cfg.max_depth + 1).min(6),
                 _ => cfg.learning_rate = (cfg.learning_rate * rng.gen_range(0.5..1.5)).min(0.8),
@@ -85,138 +79,102 @@ impl Genome {
         }
         g
     }
-
-    fn fit(
-        &self,
-        x: &CsrMatrix,
-        labels: &[u32],
-        n_classes: usize,
-        rng: &mut impl Rng,
-    ) -> Result<Box<dyn Classifier>, ModelError> {
-        Ok(match self {
-            Genome::Lr(cfg) => Box::new(LogisticRegression::fit(x, labels, n_classes, cfg, rng)?),
-            Genome::Mlp(cfg) => Box::new(NeuralNet::fit(x, labels, n_classes, cfg, rng)?),
-            Genome::Gbdt(cfg) => Box::new(GbdtClassifier::fit(x, labels, n_classes, cfg, rng)?),
-        })
-    }
 }
 
-fn holdout_accuracy(
-    genome: &Genome,
-    x_train: &CsrMatrix,
-    y_train: &[u32],
-    x_val: &CsrMatrix,
-    y_val: &[usize],
-    n_classes: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    match genome.fit(x_train, y_train, n_classes, rng) {
-        Ok(model) => lvp_stats::accuracy(&model.predict_proba(x_val).argmax_rows(), y_val),
-        Err(_) => f64::NEG_INFINITY,
-    }
-}
-
-/// Splits featurized data into (train, validation) index sets.
+/// The searchers' holdout split of `n` featurized rows: (train, validation)
+/// row indices, 80/20 after one shuffle.
 fn holdout_split(n: usize, rng: &mut impl Rng) -> (Vec<usize>, Vec<usize>) {
-    use rand::seq::SliceRandom;
     let mut idx: Vec<usize> = (0..n).collect();
     idx.shuffle(rng);
     let cut = (n as f64 * 0.8).round() as usize;
-    (idx[..cut].to_vec(), idx[cut..].to_vec())
+    let val = idx.split_off(cut);
+    (idx, val)
 }
 
 /// Successive-halving search over random candidates (auto-sklearn
-/// archetype): evaluates `budget` random genomes on a subsample, keeps the
-/// better half on the full training split, and deploys the winner.
+/// archetype): evaluates `budget` random candidates on a subsample, keeps
+/// the better half on the full training split, and deploys the winner.
 pub fn auto_sklearn_like(
     train: &DataFrame,
     budget: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
+    let (labels, m) = (train.labels(), train.n_classes());
+    fit_pipeline(train, &PipelineConfig::default(), "auto-sklearn", |x| {
+        let (train_idx, val_idx) = holdout_split(x.rows(), rng);
+        let score = |spec: &ClassifierSpec, rows: &[usize], rng: &mut _| {
+            holdout_accuracy(x, labels, rows, &val_idx, |xt, yt| spec.fit(xt, yt, m, rng))
+                .unwrap_or(f64::NEG_INFINITY)
+        };
 
-    // Round 1: cheap evaluation on a subsample of the training split.
-    let sub: Vec<usize> = (0..xt.rows()).step_by(2).collect();
-    let xs = xt.select_rows(&sub);
-    let ys: Vec<u32> = sub.iter().map(|&i| yt[i]).collect();
-    let mut candidates: Vec<(Genome, f64)> = (0..budget.max(2))
-        .map(|_| {
-            let g = Genome::random(rng);
-            let score = holdout_accuracy(&g, &xs, &ys, &xv, &yv, train.n_classes(), rng);
-            (g, score)
-        })
-        .collect();
-    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    candidates.truncate((candidates.len() / 2).max(1));
+        // Round 1: cheap evaluation on a subsample of the training split.
+        let sub: Vec<usize> = train_idx.iter().step_by(2).copied().collect();
+        let mut candidates: Vec<(ClassifierSpec, f64)> = (0..budget.max(2))
+            .map(|_| {
+                let g = ClassifierSpec::random(rng);
+                let s = score(&g, &sub, rng);
+                (g, s)
+            })
+            .collect();
+        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        candidates.truncate((candidates.len() / 2).max(1));
 
-    // Round 2: full training split for the survivors.
-    let (best, _) = candidates
-        .into_iter()
-        .map(|(g, _)| {
-            let score = holdout_accuracy(&g, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            (g, score)
-        })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("at least one survivor");
-
-    let classifier = best.fit(&x, labels, train.n_classes(), rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        classifier,
-        "auto-sklearn",
-    )))
+        // Round 2: full training split for the survivors.
+        let (best, _) = candidates
+            .into_iter()
+            .map(|(g, _)| {
+                let s = score(&g, &train_idx, rng);
+                (g, s)
+            })
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .expect("at least one survivor");
+        best.fit(x, labels, m, rng)
+    })
 }
 
-/// Evolutionary pipeline search (TPOT archetype): a small population evolved
-/// by mutation with truncation selection on holdout accuracy.
+/// Evolutionary search (TPOT archetype): a small population of candidates
+/// evolved by mutation with truncation selection on holdout accuracy.
 pub fn tpot_like(
     train: &DataFrame,
     generations: usize,
     population: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
+    let (labels, m) = (train.labels(), train.n_classes());
+    fit_pipeline(train, &PipelineConfig::default(), "tpot", |x| {
+        let (train_idx, val_idx) = holdout_split(x.rows(), rng);
+        let score = |spec: &ClassifierSpec, rng: &mut _| {
+            holdout_accuracy(x, labels, &train_idx, &val_idx, |xt, yt| {
+                spec.fit(xt, yt, m, rng)
+            })
+            .unwrap_or(f64::NEG_INFINITY)
+        };
 
-    let population = population.max(2);
-    let mut pop: Vec<(Genome, f64)> = (0..population)
-        .map(|_| {
-            let g = Genome::random(rng);
-            let s = holdout_accuracy(&g, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            (g, s)
-        })
-        .collect();
+        let population = population.max(2);
+        let mut pop: Vec<(ClassifierSpec, f64)> = (0..population)
+            .map(|_| {
+                let g = ClassifierSpec::random(rng);
+                let s = score(&g, rng);
+                (g, s)
+            })
+            .collect();
 
-    for _gen in 0..generations {
-        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        pop.truncate((population / 2).max(1));
-        let parents: Vec<Genome> = pop.iter().map(|(g, _)| g.clone()).collect();
-        for parent in parents {
-            if pop.len() >= population {
-                break;
+        for _gen in 0..generations {
+            pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            pop.truncate((population / 2).max(1));
+            let parents: Vec<ClassifierSpec> = pop.iter().map(|(g, _)| g.clone()).collect();
+            for parent in parents {
+                if pop.len() >= population {
+                    break;
+                }
+                let child = parent.mutate(rng);
+                let s = score(&child, rng);
+                pop.push((child, s));
             }
-            let child = parent.mutate(rng);
-            let s = holdout_accuracy(&child, &xt, &yt, &xv, &yv, train.n_classes(), rng);
-            pop.push((child, s));
         }
-    }
-    pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let best = pop.remove(0).0;
-    let classifier = best.fit(&x, labels, train.n_classes(), rng)?;
-    Ok(Box::new(PipelineModel::new(featurizer, classifier, "tpot")))
+        pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        pop.remove(0).0.fit(x, labels, m, rng)
+    })
 }
 
 /// Neural architecture search over convnet widths (auto-keras archetype).
@@ -225,50 +183,29 @@ pub fn auto_keras_like(
     trials: usize,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = train
-        .schema()
-        .image_columns()
-        .first()
-        .and_then(|&i| {
-            train
-                .column(i)
-                .as_image()
-                .ok()
-                .and_then(|imgs| imgs.iter().flatten().next().map(|img| img.width))
-        })
-        .ok_or_else(|| ModelError::new("auto-keras search requires an image column"))?;
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let labels = train.labels();
-    let (train_idx, val_idx) = holdout_split(x.rows(), rng);
-    let xt = x.select_rows(&train_idx);
-    let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-    let xv = x.select_rows(&val_idx);
-    let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-
-    let mut best: Option<(ConvNetConfig, f64)> = None;
-    for _ in 0..trials.max(1) {
-        let cfg = ConvNetConfig {
-            c1: *[3, 4, 6].get(rng.gen_range(0..3)).unwrap(),
-            c2: *[6, 8, 12].get(rng.gen_range(0..3)).unwrap(),
-            dense: *[16, 32].get(rng.gen_range(0..2)).unwrap(),
-            ..ConvNetConfig::small(side)
-        };
-        let score = match ConvNet::fit(&xt, &yt, train.n_classes(), &cfg, rng) {
-            Ok(net) => lvp_stats::accuracy(&net.predict_proba(&xv).argmax_rows(), &yv),
-            Err(_) => f64::NEG_INFINITY,
-        };
-        if best.as_ref().is_none_or(|(_, s)| score > *s) {
-            best = Some((cfg, score));
+    let side = image_side(train, "auto-keras search")?;
+    let (labels, m) = (train.labels(), train.n_classes());
+    fit_pipeline(train, &PipelineConfig::default(), "auto-keras", |x| {
+        let (train_idx, val_idx) = holdout_split(x.rows(), rng);
+        let mut best: Option<(ConvNetConfig, f64)> = None;
+        for _ in 0..trials.max(1) {
+            let cfg = ConvNetConfig {
+                c1: *[3, 4, 6].get(rng.gen_range(0..3)).unwrap(),
+                c2: *[6, 8, 12].get(rng.gen_range(0..3)).unwrap(),
+                dense: *[16, 32].get(rng.gen_range(0..2)).unwrap(),
+                ..ConvNetConfig::small(side)
+            };
+            let score = holdout_accuracy(x, labels, &train_idx, &val_idx, |xt, yt| {
+                Ok(Box::new(ConvNet::fit(xt, yt, m, &cfg, rng)?))
+            })
+            .unwrap_or(f64::NEG_INFINITY);
+            if best.as_ref().is_none_or(|(_, s)| score > *s) {
+                best = Some((cfg, score));
+            }
         }
-    }
-    let (cfg, _) = best.expect("at least one trial ran");
-    let net = ConvNet::fit(&x, labels, train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(net),
-        "auto-keras",
-    )))
+        let (cfg, _) = best.expect("at least one trial ran");
+        Ok(Box::new(ConvNet::fit(x, labels, m, &cfg, rng)?))
+    })
 }
 
 /// The hand-specified larger convnet of Figure 6.
@@ -276,32 +213,19 @@ pub fn large_convnet(
     train: &DataFrame,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = train
-        .schema()
-        .image_columns()
-        .first()
-        .and_then(|&i| {
-            train
-                .column(i)
-                .as_image()
-                .ok()
-                .and_then(|imgs| imgs.iter().flatten().next().map(|img| img.width))
-        })
-        .ok_or_else(|| ModelError::new("large-convnet requires an image column"))?;
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let cfg = ConvNetConfig {
+    let net = ConvNetConfig {
         c1: 8,
         c2: 16,
         dense: 48,
-        ..ConvNetConfig::small(side)
+        ..ConvNetConfig::small(image_side(train, "large-convnet")?)
     };
-    let net = ConvNet::fit(&x, train.labels(), train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(net),
+    convnet_pipeline(
+        train,
+        &PipelineConfig::default(),
         "large-convnet",
-    )))
+        &net,
+        rng,
+    )
 }
 
 #[cfg(test)]
@@ -341,7 +265,7 @@ mod tests {
     #[test]
     fn genome_mutation_changes_something_eventually() {
         let mut rng = StdRng::seed_from_u64(4);
-        let g = Genome::random(&mut rng);
+        let g = ClassifierSpec::random(&mut rng);
         let changed = (0..20).any(|_| g.mutate(&mut rng) != g);
         assert!(changed);
     }

@@ -17,8 +17,10 @@
 //!   trained with Adam, grid-searched over layer sizes,
 //! * [`gbdt::GbdtClassifier`] (`xgb`) — second-order (Newton) gradient
 //!   boosted regression trees on logistic loss,
-//! * [`convnet::ConvNet`] (`conv`) — conv(32)→conv(64)→maxpool→dense(128)
-//!   with ReLU and dropout for the image tasks,
+//! * [`convnet::ConvNet`] (`conv`) — conv→conv→maxpool→dense with ReLU and
+//!   dropout for the image tasks; the paper's 32/64/128 widths are
+//!   [`convnet::ConvNetConfig::paper`], and training uses the proportionally
+//!   scaled [`convnet::ConvNetConfig::small`],
 //! * [`forest::RandomForestRegressor`] — the meta-model of the paper's
 //!   performance predictor,
 //! * [`automl`] — three AutoML-style searchers producing opaque pipelines,
@@ -27,7 +29,13 @@
 //!   deterministic seed-driven fault-injection plan for chaos testing,
 //! * [`resilience`] — a fault-tolerant [`resilience::ResilientModel`]
 //!   wrapper (retry with seeded-jitter backoff, circuit breaker, request
-//!   chunking, response validation) for flaky remote endpoints.
+//!   chunking, response validation) for flaky remote endpoints, and the
+//!   one [`CircuitBreaker`] that `lvpd`'s per-tenant admission gates share.
+//!
+//! Every classifier pipeline is trained through [`train_model`] (the
+//! paper's protocol: a per-family grid chosen by [`CV_FOLDS`]-fold
+//! cross-validation, see [`cv::select_config`]), [`train_model_quick`]
+//! (fixed defaults) or one of the [`automl`] searchers.
 //!
 //! [`DataFrame`]: lvp_dataframe::DataFrame
 
@@ -48,14 +56,11 @@ mod opt;
 mod pipeline;
 
 pub use resilience::{
-    mix64, validate_probability_matrix, BreakerConfig, CircuitState, ResilienceConfig,
-    ResilientModel, VirtualClock,
+    jittered_backoff_nanos, mix64, validate_probability_matrix, BreakerConfig, CircuitBreaker,
+    CircuitState, ResilienceConfig, ResilientModel, VirtualClock,
 };
 
-pub use pipeline::{
-    train_convnet, train_gbdt, train_logistic_regression, train_model, train_model_quick,
-    train_neural_net, ModelKind, PipelineModel, CV_FOLDS,
-};
+pub use pipeline::{train_model, train_model_quick, ModelKind, PipelineModel, CV_FOLDS};
 
 use lvp_dataframe::DataFrame;
 use lvp_linalg::{CsrMatrix, DenseMatrix};

@@ -2,7 +2,6 @@
 //! `lr` model, mirroring scikit-learn's `SGDClassifier` with grid-searched
 //! regularization and learning rate).
 
-use crate::cv::{grid_search_max, kfold_indices};
 use crate::{one_hot_labels, Classifier, ModelError};
 use lvp_linalg::{stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
@@ -141,46 +140,11 @@ impl LogisticRegression {
         })
     }
 
-    /// Fits with k-fold cross-validation over the hyperparameter grid,
-    /// then refits the winning configuration on the full data.
-    pub fn fit_cv(
-        x: &CsrMatrix,
-        labels: &[u32],
-        n_classes: usize,
-        grid: &[LrConfig],
-        k_folds: usize,
-        rng: &mut impl Rng,
-    ) -> Result<(Self, LrConfig), ModelError> {
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut fold_rngs: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let seed = fold_rngs.pop().unwrap_or(0);
-            let mut local = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut acc = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, n_classes, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-                let pred = model.predict_proba(&xv).argmax_rows();
-                acc += lvp_stats::accuracy(&pred, &yv);
-            }
-            acc / folds.len() as f64
-        });
-        let model = Self::fit(x, labels, n_classes, &best, rng)?;
-        Ok((model, best))
-    }
-
     /// The fitted weight matrix (d × m), exposed for tests and diagnostics.
     pub fn weights(&self) -> &DenseMatrix {
         &self.weights
     }
 }
-
-use rand::SeedableRng;
 
 impl Classifier for LogisticRegression {
     fn predict_proba(&self, x: &CsrMatrix) -> DenseMatrix {
@@ -240,18 +204,6 @@ mod tests {
         for row in p.row_iter() {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn cv_grid_search_returns_good_model() {
-        let (x, y) = blobs(120, 5);
-        let mut rng = StdRng::seed_from_u64(6);
-        let (model, cfg) =
-            LogisticRegression::fit_cv(&x, &y, 2, &default_lr_grid(), 3, &mut rng).unwrap();
-        assert!(default_lr_grid().contains(&cfg));
-        let pred = model.predict_proba(&x).argmax_rows();
-        let labels: Vec<usize> = y.iter().map(|&l| l as usize).collect();
-        assert!(lvp_stats::accuracy(&pred, &labels) > 0.95);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //! layers and a softmax output, trained with Adam, layer sizes grid-searched
 //! with cross-validation.
 
-use crate::cv::{grid_search_max, kfold_indices};
 use crate::{one_hot_labels, Classifier, ModelError};
 use lvp_linalg::{relu, relu_grad, stable_softmax, CsrMatrix, DenseMatrix};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
 
 /// Training configuration for [`NeuralNet`].
@@ -150,37 +148,6 @@ impl NeuralNet {
         }
         Ok(net)
     }
-
-    /// Fits with k-fold CV over the layer-size grid, refitting the winner.
-    pub fn fit_cv(
-        x: &CsrMatrix,
-        labels: &[u32],
-        n_classes: usize,
-        grid: &[MlpConfig],
-        k_folds: usize,
-        rng: &mut impl Rng,
-    ) -> Result<(Self, MlpConfig), ModelError> {
-        let folds = kfold_indices(x.rows(), k_folds, rng);
-        let mut seeds: Vec<u64> = (0..grid.len()).map(|_| rng.gen()).collect();
-        let (best, _) = grid_search_max(grid, |cfg| {
-            let mut local = rand::rngs::StdRng::seed_from_u64(seeds.pop().unwrap_or(0));
-            let mut acc = 0.0;
-            for (train_idx, val_idx) in &folds {
-                let xt = x.select_rows(train_idx);
-                let yt: Vec<u32> = train_idx.iter().map(|&i| labels[i]).collect();
-                let Ok(model) = Self::fit(&xt, &yt, n_classes, cfg, &mut local) else {
-                    return f64::NEG_INFINITY;
-                };
-                let xv = x.select_rows(val_idx);
-                let yv: Vec<usize> = val_idx.iter().map(|&i| labels[i] as usize).collect();
-                let pred = model.predict_proba(&xv).argmax_rows();
-                acc += lvp_stats::accuracy(&pred, &yv);
-            }
-            acc / folds.len() as f64
-        });
-        let model = Self::fit(x, labels, n_classes, &best, rng)?;
-        Ok((model, best))
-    }
 }
 
 /// `xᵀ · dense` for a CSR left operand: accumulates sparse outer products.
@@ -239,6 +206,7 @@ mod tests {
     use super::*;
     use lvp_linalg::SparseVec;
     use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// XOR-like data: requires a nonlinear decision boundary.
     fn xor_data(n: usize, seed: u64) -> (CsrMatrix, Vec<u32>) {
@@ -285,15 +253,6 @@ mod tests {
         let x = CsrMatrix::from_sparse_rows(&[]).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         assert!(NeuralNet::fit(&x, &[], 2, &MlpConfig::default(), &mut rng).is_err());
-    }
-
-    #[test]
-    fn cv_picks_a_grid_member() {
-        let (x, y) = xor_data(150, 6);
-        let mut rng = StdRng::seed_from_u64(7);
-        let grid = default_mlp_grid();
-        let (_, cfg) = NeuralNet::fit_cv(&x, &y, 2, &grid, 3, &mut rng).unwrap();
-        assert!(grid.contains(&cfg));
     }
 
     #[test]

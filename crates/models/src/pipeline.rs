@@ -2,13 +2,14 @@
 //! exposed only through [`BlackBoxModel`].
 
 use crate::convnet::{ConvNet, ConvNetConfig};
-use crate::gbdt::{default_gbdt_grid, GbdtClassifier};
-use crate::linear::{default_lr_grid, LogisticRegression};
-use crate::mlp::{default_mlp_grid, NeuralNet};
+use crate::cv::select_config;
+use crate::gbdt::{default_gbdt_grid, GbdtClassifier, GbdtConfig};
+use crate::linear::{default_lr_grid, LogisticRegression, LrConfig};
+use crate::mlp::{default_mlp_grid, MlpConfig, NeuralNet};
 use crate::{BlackBoxModel, Classifier, ModelError};
 use lvp_dataframe::DataFrame;
 use lvp_featurize::{CacheStats, FeaturePipeline, PipelineConfig, ShardedEncodingCache};
-use lvp_linalg::DenseMatrix;
+use lvp_linalg::{CsrMatrix, DenseMatrix};
 use lvp_telemetry::{Counter, Histogram, Registry, Span};
 use rand::Rng;
 
@@ -142,123 +143,148 @@ impl ModelKind {
 /// Number of folds used for every cross-validated fit (the paper uses 5).
 pub const CV_FOLDS: usize = 5;
 
-fn image_side(train: &DataFrame) -> usize {
-    for i in train.schema().image_columns() {
-        if let Ok(images) = train.column(i).as_image() {
-            if let Some(img) = images.iter().flatten().next() {
-                return img.width;
-            }
-        }
+/// One classifier family with its hyperparameters: a candidate of the
+/// cross-validated grids of [`train_model`] and of the
+/// [`automl`](crate::automl) searchers.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ClassifierSpec {
+    /// Logistic regression.
+    Lr(LrConfig),
+    /// Feed-forward neural network.
+    Mlp(MlpConfig),
+    /// Gradient-boosted trees.
+    Gbdt(GbdtConfig),
+}
+
+impl ClassifierSpec {
+    /// Fits this candidate on featurized rows.
+    pub(crate) fn fit(
+        &self,
+        x: &CsrMatrix,
+        labels: &[u32],
+        n_classes: usize,
+        rng: &mut impl Rng,
+    ) -> Result<Box<dyn Classifier>, ModelError> {
+        Ok(match self {
+            Self::Lr(cfg) => Box::new(LogisticRegression::fit(x, labels, n_classes, cfg, rng)?),
+            Self::Mlp(cfg) => Box::new(NeuralNet::fit(x, labels, n_classes, cfg, rng)?),
+            Self::Gbdt(cfg) => Box::new(GbdtClassifier::fit(x, labels, n_classes, cfg, rng)?),
+        })
     }
-    0
-}
 
-/// Trains a cross-validated logistic regression pipeline on the frame.
-pub fn train_logistic_regression(
-    train: &DataFrame,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let (model, _) = LogisticRegression::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_lr_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "lr",
-    )))
-}
-
-/// Trains a cross-validated feed-forward network pipeline on the frame.
-pub fn train_neural_net(
-    train: &DataFrame,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let (model, _) = NeuralNet::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_mlp_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "dnn",
-    )))
-}
-
-/// Trains a cross-validated gradient-boosted tree pipeline on the frame.
-pub fn train_gbdt(
-    train: &DataFrame,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let (model, _) = GbdtClassifier::fit_cv(
-        &x,
-        train.labels(),
-        train.n_classes(),
-        &default_gbdt_grid(),
-        CV_FOLDS,
-        rng,
-    )?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "xgb",
-    )))
-}
-
-/// Trains a convolutional network pipeline on an image frame.
-///
-/// `paper_scale` selects the paper's 32/64/128 architecture; otherwise the
-/// proportionally scaled single-core variant is used (see DESIGN.md).
-pub fn train_convnet(
-    train: &DataFrame,
-    paper_scale: bool,
-    rng: &mut impl Rng,
-) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    let side = image_side(train);
-    if side == 0 {
-        return Err(ModelError::new("convnet requires an image column"));
+    /// The candidate among `grid` with the best [`CV_FOLDS`]-fold
+    /// cross-validated [`holdout_accuracy`] on `x`.
+    pub(crate) fn cross_validate(
+        grid: &[Self],
+        x: &CsrMatrix,
+        labels: &[u32],
+        n_classes: usize,
+        rng: &mut impl Rng,
+    ) -> Result<Self, ModelError> {
+        select_config(x.rows(), grid, CV_FOLDS, rng, |spec, train, val, local| {
+            holdout_accuracy(x, labels, train, val, |xt, yt| {
+                spec.fit(xt, yt, n_classes, local)
+            })
+        })
     }
-    let featurizer = FeaturePipeline::fit(train, &PipelineConfig::default());
-    let x = featurizer.transform(train);
-    let cfg = if paper_scale {
-        ConvNetConfig::paper(side)
-    } else {
-        ConvNetConfig::small(side)
-    };
-    let model = ConvNet::fit(&x, train.labels(), train.n_classes(), &cfg, rng)?;
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        Box::new(model),
-        "conv",
-    )))
 }
 
-/// Trains the requested model family with its default CV protocol.
+/// Fits a classifier on the `train` rows of `x` and returns its accuracy
+/// on the `val` rows: the fold score of the cross-validated grids and the
+/// candidate score of the AutoML searchers.
+pub(crate) fn holdout_accuracy(
+    x: &CsrMatrix,
+    labels: &[u32],
+    train: &[usize],
+    val: &[usize],
+    fit: impl FnOnce(&CsrMatrix, &[u32]) -> Result<Box<dyn Classifier>, ModelError>,
+) -> Result<f64, ModelError> {
+    let y_train: Vec<u32> = train.iter().map(|&i| labels[i]).collect();
+    let model = fit(&x.select_rows(train), &y_train)?;
+    let y_val: Vec<usize> = val.iter().map(|&i| labels[i] as usize).collect();
+    let predicted = model.predict_proba(&x.select_rows(val)).argmax_rows();
+    Ok(lvp_stats::accuracy(&predicted, &y_val))
+}
+
+/// Fits the feature pipeline on `train`, fits a classifier on the
+/// featurized rows with `fit`, and bundles both as a black box named
+/// `name`. Every trained pipeline in this crate is built here.
+pub(crate) fn fit_pipeline(
+    train: &DataFrame,
+    config: &PipelineConfig,
+    name: &str,
+    fit: impl FnOnce(&CsrMatrix) -> Result<Box<dyn Classifier>, ModelError>,
+) -> Result<Box<dyn BlackBoxModel>, ModelError> {
+    let featurizer = FeaturePipeline::fit(train, config);
+    let x = featurizer.transform(train);
+    let classifier = fit(&x)?;
+    Ok(Box::new(PipelineModel::new(featurizer, classifier, name)))
+}
+
+/// Width of the first image in the frame's image columns; `model` names
+/// the model in the error when there is none.
+pub(crate) fn image_side(train: &DataFrame, model: &str) -> Result<usize, ModelError> {
+    train
+        .schema()
+        .image_columns()
+        .into_iter()
+        .filter_map(|i| train.column(i).as_image().ok())
+        .find_map(|images| images.iter().flatten().next().map(|img| img.width))
+        .filter(|&side| side > 0)
+        .ok_or_else(|| ModelError::new(format!("{model} requires an image column")))
+}
+
+/// A convnet pipeline of the given architecture.
+pub(crate) fn convnet_pipeline(
+    train: &DataFrame,
+    config: &PipelineConfig,
+    name: &str,
+    net: &ConvNetConfig,
+    rng: &mut impl Rng,
+) -> Result<Box<dyn BlackBoxModel>, ModelError> {
+    fit_pipeline(train, config, name, |x| {
+        Ok(Box::new(ConvNet::fit(
+            x,
+            train.labels(),
+            train.n_classes(),
+            net,
+            rng,
+        )?))
+    })
+}
+
+/// Trains the requested model family with the paper's protocol: the
+/// family's grid, scored by [`CV_FOLDS`]-fold cross-validated accuracy,
+/// with the winner refit on every row. `conv` has no grid; it trains the
+/// scaled architecture ([`ConvNetConfig::small`]).
 pub fn train_model(
     kind: ModelKind,
     train: &DataFrame,
     rng: &mut impl Rng,
 ) -> Result<Box<dyn BlackBoxModel>, ModelError> {
-    match kind {
-        ModelKind::Lr => train_logistic_regression(train, rng),
-        ModelKind::Dnn => train_neural_net(train, rng),
-        ModelKind::Xgb => train_gbdt(train, rng),
-        ModelKind::Conv => train_convnet(train, false, rng),
-    }
+    let config = PipelineConfig::default();
+    let grid: Vec<ClassifierSpec> = match kind {
+        ModelKind::Lr => default_lr_grid()
+            .into_iter()
+            .map(ClassifierSpec::Lr)
+            .collect(),
+        ModelKind::Dnn => default_mlp_grid()
+            .into_iter()
+            .map(ClassifierSpec::Mlp)
+            .collect(),
+        ModelKind::Xgb => default_gbdt_grid()
+            .into_iter()
+            .map(ClassifierSpec::Gbdt)
+            .collect(),
+        ModelKind::Conv => {
+            let net = ConvNetConfig::small(image_side(train, "convnet")?);
+            return convnet_pipeline(train, &config, kind.name(), &net, rng);
+        }
+    };
+    let (labels, m) = (train.labels(), train.n_classes());
+    fit_pipeline(train, &config, kind.name(), |x| {
+        ClassifierSpec::cross_validate(&grid, x, labels, m, rng)?.fit(x, labels, m, rng)
+    })
 }
 
 /// Trains the requested model family with fixed default hyperparameters,
@@ -275,7 +301,7 @@ pub fn train_model_quick(
     // quick mode trades hash buckets for wall-clock (the full CV protocol
     // of `train_model` keeps the default dimensionality).
     let has_text = !train.schema().text_columns().is_empty();
-    let pipeline_config = if has_text {
+    let config = if has_text {
         PipelineConfig {
             text_buckets: 512,
             ..PipelineConfig::default()
@@ -283,53 +309,21 @@ pub fn train_model_quick(
     } else {
         PipelineConfig::default()
     };
-    let featurizer = FeaturePipeline::fit(train, &pipeline_config);
-    let x = featurizer.transform(train);
-    let (labels, m) = (train.labels(), train.n_classes());
-    let classifier: Box<dyn crate::Classifier> = match kind {
-        ModelKind::Lr => Box::new(LogisticRegression::fit(
-            &x,
-            labels,
-            m,
-            &crate::linear::LrConfig::default(),
-            rng,
-        )?),
-        ModelKind::Dnn => Box::new(NeuralNet::fit(
-            &x,
-            labels,
-            m,
-            &crate::mlp::MlpConfig::default(),
-            rng,
-        )?),
-        ModelKind::Xgb => Box::new(GbdtClassifier::fit(
-            &x,
-            labels,
-            m,
-            &crate::gbdt::GbdtConfig {
-                colsample: if has_text { 0.2 } else { 0.8 },
-                ..crate::gbdt::GbdtConfig::default()
-            },
-            rng,
-        )?),
+    let spec = match kind {
+        ModelKind::Lr => ClassifierSpec::Lr(LrConfig::default()),
+        ModelKind::Dnn => ClassifierSpec::Mlp(MlpConfig::default()),
+        ModelKind::Xgb => ClassifierSpec::Gbdt(GbdtConfig {
+            colsample: if has_text { 0.2 } else { 0.8 },
+            ..GbdtConfig::default()
+        }),
         ModelKind::Conv => {
-            let side = image_side(train);
-            if side == 0 {
-                return Err(ModelError::new("convnet requires an image column"));
-            }
-            Box::new(ConvNet::fit(
-                &x,
-                labels,
-                m,
-                &ConvNetConfig::small(side),
-                rng,
-            )?)
+            let net = ConvNetConfig::small(image_side(train, "convnet")?);
+            return convnet_pipeline(train, &config, kind.name(), &net, rng);
         }
     };
-    Ok(Box::new(PipelineModel::new(
-        featurizer,
-        classifier,
-        kind.name(),
-    )))
+    fit_pipeline(train, &config, kind.name(), |x| {
+        spec.fit(x, train.labels(), train.n_classes(), rng)
+    })
 }
 
 #[cfg(test)]
@@ -344,7 +338,7 @@ mod tests {
     fn pipeline_model_hides_internals_and_predicts() {
         let df = toy_frame(60);
         let mut rng = StdRng::seed_from_u64(1);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         assert_eq!(model.name(), "lr");
         assert_eq!(model.n_classes(), 2);
         let p = model.predict_proba(&df);
@@ -360,15 +354,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let featurizer = FeaturePipeline::fit(&df, &PipelineConfig::default());
         let x = featurizer.transform(&df);
-        let (lr, _) = crate::linear::LogisticRegression::fit_cv(
-            &x,
-            df.labels(),
-            df.n_classes(),
-            &crate::linear::default_lr_grid(),
-            CV_FOLDS,
-            &mut rng,
-        )
-        .unwrap();
+        let grid: Vec<ClassifierSpec> = default_lr_grid()
+            .into_iter()
+            .map(ClassifierSpec::Lr)
+            .collect();
+        let ClassifierSpec::Lr(best) =
+            ClassifierSpec::cross_validate(&grid, &x, df.labels(), df.n_classes(), &mut rng)
+                .unwrap()
+        else {
+            unreachable!("an LR grid selects an LR candidate");
+        };
+        let lr = LogisticRegression::fit(&x, df.labels(), df.n_classes(), &best, &mut rng).unwrap();
         let model = PipelineModel::new(featurizer.clone(), Box::new(lr.clone()), "lr");
         // Cold reference: featurize without any cache, classify directly.
         let reference = lr.predict_proba(&featurizer.transform(&df));
@@ -393,12 +389,12 @@ mod tests {
     fn attached_telemetry_counts_calls_rows_and_cache_traffic() {
         let df = toy_frame(40);
         let mut rng = StdRng::seed_from_u64(4);
-        let mut model = train_logistic_regression(&df, &mut rng).unwrap();
+        let mut model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let registry = Registry::new();
         model.attach_telemetry(&registry);
         let reference = {
             let mut rng = StdRng::seed_from_u64(4);
-            train_logistic_regression(&df, &mut rng)
+            train_model(ModelKind::Lr, &df, &mut rng)
                 .unwrap()
                 .predict_proba(&df)
         };
@@ -416,7 +412,7 @@ mod tests {
         assert_eq!(snap.counters["model.cache.hits"], df.n_cols() as u64);
         assert_eq!(snap.counters["model.cache.misses"], df.n_cols() as u64);
         // Uninstrumented models stay silent.
-        let quiet = train_logistic_regression(&df, &mut rng).unwrap();
+        let quiet = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         quiet.publish_telemetry();
         quiet.predict_proba(&df);
     }
@@ -432,6 +428,6 @@ mod tests {
     fn convnet_requires_images() {
         let df = toy_frame(10);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(train_convnet(&df, false, &mut rng).is_err());
+        assert!(train_model(ModelKind::Conv, &df, &mut rng).is_err());
     }
 }

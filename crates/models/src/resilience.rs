@@ -7,9 +7,14 @@
 //!
 //! * [`ResilientModel`] wraps any [`BlackBoxModel`] with retry + seeded
 //!   exponential backoff, per-call attempt budgets and deadlines, a
-//!   circuit breaker (closed → open → half-open), automatic request
-//!   chunking with partial-result reassembly, and a response validator
-//!   that rejects malformed probability matrices at the trust boundary;
+//!   circuit breaker, automatic request chunking with partial-result
+//!   reassembly, and a response validator that rejects malformed
+//!   probability matrices at the trust boundary;
+//! * [`CircuitBreaker`] is the closed → open → half-open state machine,
+//!   used by [`ResilientModel`] and by each `lvpd` tenant's admission
+//!   gate;
+//! * [`jittered_backoff_nanos`] is the seeded exponential backoff shared by
+//!   the retry loop here and `lvpd`'s retry-after hints;
 //! * [`VirtualClock`] replaces wall-clock time everywhere, so backoff
 //!   schedules, deadlines and breaker cooldowns are exactly reproducible
 //!   in tests and chaos runs — "sleeping" advances the clock instead of
@@ -61,11 +66,10 @@ impl VirtualClock {
     }
 }
 
-/// Mixes inputs through two rounds of the splitmix64 finalizer; the same
-/// construction the generation engine uses for per-run seeds. Public so
-/// other admission-control layers (e.g. the `lvpd` daemon's per-tenant
-/// shedding) can derive deterministic retry-after jitter the same way the
-/// retry backoff here does.
+/// Mixes inputs through two rounds of the splitmix64 finalizer. This is
+/// the workspace's one mixer: the generation engine's per-run seeds, the
+/// fault plan's draws, the retry backoff jitter here and `lvpd`'s
+/// retry-after jitter all derive from it.
 pub fn mix64(mut z: u64) -> u64 {
     for _ in 0..2 {
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -74,6 +78,19 @@ pub fn mix64(mut z: u64) -> u64 {
         z ^= z >> 31;
     }
     z
+}
+
+/// The top 53 bits of `h` as a uniform float in `[0, 1)`.
+pub(crate) fn unit_f64(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Jittered exponential backoff: `min(base · 2^doublings, max)` scaled by
+/// a jitter factor in `[0.5, 1.5)` drawn from the hash `h`. Callers cap
+/// `doublings` below 64.
+pub fn jittered_backoff_nanos(base_nanos: u64, max_nanos: u64, doublings: u32, h: u64) -> u64 {
+    let raw = base_nanos.saturating_mul(1u64 << doublings).min(max_nanos);
+    (raw as f64 * (0.5 + unit_f64(h))) as u64
 }
 
 /// Content key of a batch request: an FNV-1a hash over the frame's schema
@@ -178,12 +195,15 @@ pub fn validate_probability_matrix(
     Ok(())
 }
 
-/// Circuit breaker configuration of a [`ResilientModel`].
+/// Policy of a [`CircuitBreaker`]: of a [`ResilientModel`]'s breaker and of
+/// each lvpd tenant's admission gate.
 ///
-/// The breaker watches *call-level* outcomes (a call that exhausts its
-/// retry budget counts as one failure; a successful call resets the run),
-/// not individual attempt failures — concurrent callers would otherwise
-/// interleave their attempt failures into spuriously long runs.
+/// A [`ResilientModel`] counts *call-level* outcomes (a call that exhausts
+/// its retry budget counts as one failure; a successful call resets the
+/// run), not individual attempt failures — concurrent callers would
+/// otherwise interleave their attempt failures into spuriously long runs.
+/// lvpd counts a shed chunk as a failure and an accepted observe as a
+/// success.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive terminally-failed calls that trip the breaker open.
@@ -241,8 +261,7 @@ impl Default for ResilienceConfig {
     }
 }
 
-/// Circuit breaker state of a [`ResilientModel`] (and of lvpd's
-/// per-tenant admission gates).
+/// State of a [`CircuitBreaker`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CircuitState {
     /// Calls flow through; consecutive terminal failures are counted.
@@ -268,11 +287,88 @@ impl CircuitState {
     }
 }
 
-struct BreakerState {
+/// The closed → open → half-open circuit breaker, shared by
+/// [`ResilientModel`] and lvpd's per-tenant admission gates.
+///
+/// It holds the state only: each step takes the [`BreakerConfig`] and, where
+/// it matters, the virtual time, and returns the state it moved to
+/// (`Some`) so the caller can record the transition.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CircuitBreaker {
     state: CircuitState,
     consecutive_failures: u32,
-    opened_at_nanos: u64,
     half_open_successes: u32,
+    opened_at_nanos: u64,
+}
+
+impl CircuitBreaker {
+    /// The current state.
+    pub fn state(&self) -> CircuitState {
+        self.state
+    }
+
+    /// The failure run: failures since the last success while closed, or
+    /// since the breaker last closed.
+    pub fn consecutive_failures(&self) -> u32 {
+        self.consecutive_failures
+    }
+
+    /// Admission check at `now_nanos`. An open breaker whose cooldown has
+    /// elapsed moves to half-open and admits; one still cooling down sheds
+    /// with `Err(remaining cooldown nanos)`.
+    pub fn admit(
+        &mut self,
+        config: &BreakerConfig,
+        now_nanos: u64,
+    ) -> Result<Option<CircuitState>, u64> {
+        if self.state != CircuitState::Open {
+            return Ok(None);
+        }
+        let elapsed = now_nanos.saturating_sub(self.opened_at_nanos);
+        if elapsed < config.cooldown_nanos {
+            return Err(config.cooldown_nanos - elapsed);
+        }
+        self.state = CircuitState::HalfOpen;
+        self.half_open_successes = 0;
+        Ok(Some(CircuitState::HalfOpen))
+    }
+
+    /// A success: ends the failure run while closed; enough half-open
+    /// successes close the breaker.
+    pub fn on_success(&mut self, config: &BreakerConfig) -> Option<CircuitState> {
+        match self.state {
+            CircuitState::Closed => self.consecutive_failures = 0,
+            CircuitState::HalfOpen => {
+                self.half_open_successes = self.half_open_successes.saturating_add(1);
+                if self.half_open_successes >= config.half_open_successes {
+                    self.state = CircuitState::Closed;
+                    self.consecutive_failures = 0;
+                    return Some(CircuitState::Closed);
+                }
+            }
+            CircuitState::Open => {}
+        }
+        None
+    }
+
+    /// A failure at `now_nanos`: extends the run while closed and opens the
+    /// breaker when it reaches the threshold; a failed half-open probe
+    /// re-opens it at once.
+    pub fn on_failure(&mut self, config: &BreakerConfig, now_nanos: u64) -> Option<CircuitState> {
+        match self.state {
+            CircuitState::Closed => {
+                self.consecutive_failures = self.consecutive_failures.saturating_add(1);
+                if self.consecutive_failures < config.failure_threshold {
+                    return None;
+                }
+            }
+            CircuitState::HalfOpen => {}
+            CircuitState::Open => return None,
+        }
+        self.state = CircuitState::Open;
+        self.opened_at_nanos = now_nanos;
+        Some(CircuitState::Open)
+    }
 }
 
 /// Pre-resolved telemetry handles. Retry/attempt counters derive from the
@@ -339,7 +435,7 @@ pub struct ResilientModel {
     inner: Arc<dyn BlackBoxModel>,
     config: ResilienceConfig,
     clock: VirtualClock,
-    breaker: Mutex<BreakerState>,
+    breaker: Mutex<CircuitBreaker>,
     name: String,
     metrics: Option<ResilienceMetrics>,
 }
@@ -362,12 +458,7 @@ impl ResilientModel {
             inner,
             config,
             clock,
-            breaker: Mutex::new(BreakerState {
-                state: CircuitState::Closed,
-                consecutive_failures: 0,
-                opened_at_nanos: 0,
-                half_open_successes: 0,
-            }),
+            breaker: Mutex::default(),
             name,
             metrics: None,
         }
@@ -389,95 +480,66 @@ impl ResilientModel {
     pub fn circuit_state(&self) -> CircuitState {
         self.breaker
             .lock()
-            .map(|b| b.state)
+            .map(|b| b.state())
             .unwrap_or(CircuitState::Open)
     }
 
-    /// Un-jittered exponential backoff before retry `attempt` (1-based).
-    fn raw_backoff_nanos(&self, attempt: u32) -> u64 {
-        let doublings = attempt.saturating_sub(1).min(62);
-        self.config
-            .base_backoff_nanos
-            .saturating_mul(1u64 << doublings)
-            .min(self.config.max_backoff_nanos)
-    }
-
-    /// Deterministic jittered backoff: `raw · [0.5, 1.5)`, derived from
-    /// `(jitter_seed, key, attempt)` — a pure function, so the schedule is
-    /// identical across runs and thread counts.
+    /// Deterministic jittered backoff before retry `attempt` (1-based),
+    /// derived from `(jitter_seed, key, attempt)` — a pure function, so the
+    /// schedule is identical across runs and thread counts.
     fn backoff_nanos(&self, key: u64, attempt: u32) -> u64 {
-        let raw = self.raw_backoff_nanos(attempt) as f64;
         let h = mix64(
             self.config.jitter_seed.wrapping_mul(0xA24B_AED4_963E_E407)
                 ^ key
                 ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
         );
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-        (raw * (0.5 + unit)) as u64
+        jittered_backoff_nanos(
+            self.config.base_backoff_nanos,
+            self.config.max_backoff_nanos,
+            attempt.saturating_sub(1).min(62),
+            h,
+        )
     }
 
-    /// Breaker admission check; transitions open → half-open after the
-    /// cooldown. Returns an error when calls must be shed.
+    /// Breaker admission check; returns an error when calls must be shed.
     fn admit(&self) -> Result<(), ModelError> {
         let mut b = self
             .breaker
             .lock()
             .map_err(|_| ModelError::new("circuit breaker state poisoned by a panicked thread"))?;
-        if b.state == CircuitState::Open {
-            if self.clock.now_nanos() >= b.opened_at_nanos + self.config.breaker.cooldown_nanos {
-                b.state = CircuitState::HalfOpen;
-                b.half_open_successes = 0;
-                self.record_breaker(&b);
-            } else {
+        match b.admit(&self.config.breaker, self.clock.now_nanos()) {
+            Ok(moved) => {
+                self.record_breaker(moved);
+                Ok(())
+            }
+            Err(_) => {
                 if let Some(m) = &self.metrics {
                     m.breaker_rejections.inc();
                 }
-                return Err(ModelError::transient(
+                Err(ModelError::transient(
                     "circuit breaker open: calls are being shed until the cooldown elapses",
-                ));
+                ))
             }
         }
-        Ok(())
     }
 
-    fn record_breaker(&self, b: &BreakerState) {
-        if let Some(m) = &self.metrics {
-            m.breaker_state.set(b.state.gauge_value());
+    /// Records a breaker transition reported by [`CircuitBreaker`].
+    fn record_breaker(&self, moved: Option<CircuitState>) {
+        if let (Some(state), Some(m)) = (moved, &self.metrics) {
+            m.breaker_state.set(state.gauge_value());
             m.breaker_transitions.inc();
         }
     }
 
     fn on_call_success(&self) {
         if let Ok(mut b) = self.breaker.lock() {
-            b.consecutive_failures = 0;
-            if b.state == CircuitState::HalfOpen {
-                b.half_open_successes += 1;
-                if b.half_open_successes >= self.config.breaker.half_open_successes {
-                    b.state = CircuitState::Closed;
-                    self.record_breaker(&b);
-                }
-            }
+            self.record_breaker(b.on_success(&self.config.breaker));
         }
     }
 
     fn on_call_failure(&self) {
         if let Ok(mut b) = self.breaker.lock() {
-            match b.state {
-                CircuitState::HalfOpen => {
-                    b.state = CircuitState::Open;
-                    b.opened_at_nanos = self.clock.now_nanos();
-                    self.record_breaker(&b);
-                }
-                CircuitState::Closed => {
-                    b.consecutive_failures += 1;
-                    if b.consecutive_failures >= self.config.breaker.failure_threshold {
-                        b.state = CircuitState::Open;
-                        b.opened_at_nanos = self.clock.now_nanos();
-                        self.record_breaker(&b);
-                    }
-                }
-                CircuitState::Open => {}
-            }
+            self.record_breaker(b.on_failure(&self.config.breaker, self.clock.now_nanos()));
         }
     }
 
@@ -715,6 +777,18 @@ mod tests {
         }
     }
 
+    impl ResilientModel {
+        /// Un-jittered exponential backoff before retry `attempt`
+        /// (1-based): `min(base · 2^(attempt−1), max)`.
+        fn raw_backoff_nanos(&self, attempt: u32) -> u64 {
+            let doublings = attempt.saturating_sub(1).min(62);
+            self.config
+                .base_backoff_nanos
+                .saturating_mul(1u64 << doublings)
+                .min(self.config.max_backoff_nanos)
+        }
+    }
+
     fn resilient(inner: Scripted, config: ResilienceConfig) -> ResilientModel {
         ResilientModel::new(Arc::new(inner), config)
     }
@@ -885,6 +959,59 @@ mod tests {
         model.clock().advance(500);
         assert!(model.try_predict_proba(&df).is_err());
         assert_eq!(model.circuit_state(), CircuitState::Open, "probe failed");
+    }
+
+    /// Regression test: a cooldown near `u64::MAX` used to overflow the
+    /// `opened_at + cooldown` sum on the second call.
+    #[test]
+    fn huge_cooldown_sheds_without_overflow() {
+        let model = resilient(
+            Scripted::broken(),
+            ResilienceConfig {
+                max_attempts: 1,
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    cooldown_nanos: u64::MAX,
+                    half_open_successes: 1,
+                },
+                ..ResilienceConfig::default()
+            },
+        );
+        let df = toy_frame(3);
+        model.clock().advance(10);
+        assert!(model.try_predict_proba(&df).is_err());
+        assert_eq!(model.circuit_state(), CircuitState::Open);
+        let err = model.try_predict_proba(&df).unwrap_err();
+        assert!(err.message.contains("circuit breaker open"), "{err}");
+        assert_eq!(model.circuit_state(), CircuitState::Open);
+    }
+
+    #[test]
+    fn breaker_reports_each_transition_and_the_remaining_cooldown() {
+        let config = BreakerConfig {
+            failure_threshold: 2,
+            cooldown_nanos: 100,
+            half_open_successes: 2,
+        };
+        let mut b = CircuitBreaker::default();
+        assert_eq!(b.on_failure(&config, 5), None);
+        assert_eq!(b.consecutive_failures(), 1);
+        assert_eq!(b.on_success(&config), None);
+        assert_eq!(b.consecutive_failures(), 0, "a closed success ends the run");
+        assert_eq!(b.on_failure(&config, 6), None);
+        assert_eq!(b.on_failure(&config, 10), Some(CircuitState::Open));
+        assert_eq!(b.admit(&config, 40), Err(70));
+        assert_eq!(b.on_success(&config), None, "open ignores outcomes");
+        assert_eq!(b.consecutive_failures(), 2);
+        assert_eq!(b.admit(&config, 110), Ok(Some(CircuitState::HalfOpen)));
+        assert_eq!(b.admit(&config, 111), Ok(None));
+        assert_eq!(b.on_success(&config), None);
+        assert_eq!(b.consecutive_failures(), 2, "the run survives half-open");
+        assert_eq!(b.on_failure(&config, 120), Some(CircuitState::Open));
+        assert_eq!(b.admit(&config, 220), Ok(Some(CircuitState::HalfOpen)));
+        assert_eq!(b.on_success(&config), None);
+        assert_eq!(b.on_success(&config), Some(CircuitState::Closed));
+        assert_eq!(b.consecutive_failures(), 0);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! overflows, jittered like the [`lvp_models::ResilientModel`] backoff),
 //! and the target window is poisoned so its eventual `finish` reports a
 //! degraded batch — shed load degrades monitor state, it never silently
-//! disappears from it. Sustained overflow trips a per-tenant circuit
-//! breaker (same [`BreakerConfig`]/[`CircuitState`] vocabulary as the
-//! resilience layer): while open, every observe from the tenant is shed
+//! disappears from it. Sustained overflow trips a per-tenant
+//! [`CircuitBreaker`] (the resilience layer's breaker, under the daemon's
+//! [`BreakerConfig`]): while open, every observe from the tenant is shed
 //! immediately with the remaining cooldown as the retry-after, and each
 //! shed full batch is recorded as a degraded report. Cooldowns run on a
 //! [`VirtualClock`] advanced a fixed tick per request, so breaker behavior
@@ -32,8 +32,8 @@ use lvp_core::{
 };
 use lvp_linalg::DenseMatrix;
 use lvp_models::{
-    mix64, validate_probability_matrix, BlackBoxModel, BreakerConfig, CircuitState, ModelError,
-    VirtualClock,
+    jittered_backoff_nanos, mix64, validate_probability_matrix, BlackBoxModel, BreakerConfig,
+    CircuitBreaker, CircuitState, ModelError, VirtualClock,
 };
 use lvp_telemetry::{Counter, Histogram, Registry};
 use std::collections::BTreeMap;
@@ -218,10 +218,7 @@ impl RecoveryReport {
 /// save/restore cycle with no extra state.
 #[derive(Debug, Clone, Default)]
 struct TenantGate {
-    state: CircuitState,
-    consecutive_overflows: u32,
-    half_open_successes: u32,
-    opened_at_nanos: u64,
+    breaker: CircuitBreaker,
     sheds: u64,
 }
 
@@ -522,7 +519,7 @@ impl Daemon {
         inner
             .tenants
             .get(tenant)
-            .map(|gate| gate.state)
+            .map(|gate| gate.breaker.state())
             .unwrap_or_default()
     }
 
@@ -729,20 +726,14 @@ impl Daemon {
 
         // Breaker check first: an open breaker sheds every observe form.
         let gate = inner.tenants.entry(key.tenant.clone()).or_default();
-        if gate.state == CircuitState::Open {
-            let elapsed = now.saturating_sub(gate.opened_at_nanos);
-            if elapsed < self.config.breaker.cooldown_nanos {
-                let retry = self.config.breaker.cooldown_nanos - elapsed;
-                gate.sheds += 1;
-                let reason = format!(
-                    "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
-                    key.tenant
-                );
-                let chunk = request.chunk.is_some();
-                return Ok(Self::shed(key, chunk, retry, reason));
-            }
-            gate.state = CircuitState::HalfOpen;
-            gate.half_open_successes = 0;
+        if let Err(retry) = gate.breaker.admit(&self.config.breaker, now) {
+            gate.sheds += 1;
+            let reason = format!(
+                "tenant '{}' circuit open: observe shed, retry in {retry} virtual ns",
+                key.tenant
+            );
+            let chunk = request.chunk.is_some();
+            return Ok(Self::shed(key, chunk, retry, reason));
         }
 
         let key = key.clone();
@@ -788,22 +779,8 @@ impl Daemon {
         }
         let gate = inner.tenants.entry(key.tenant.clone()).or_default();
         gate.sheds += 1;
-        match gate.state {
-            CircuitState::Closed => {
-                gate.consecutive_overflows += 1;
-                if gate.consecutive_overflows >= self.config.breaker.failure_threshold {
-                    gate.state = CircuitState::Open;
-                    gate.opened_at_nanos = now;
-                }
-            }
-            CircuitState::HalfOpen => {
-                // A failed probe re-opens immediately.
-                gate.state = CircuitState::Open;
-                gate.opened_at_nanos = now;
-            }
-            CircuitState::Open => {}
-        }
-        let retry = self.retry_after(&key.tenant, gate.consecutive_overflows, gate.sheds);
+        gate.breaker.on_failure(&self.config.breaker, now);
+        let retry = self.retry_after(&key.tenant, gate.breaker.consecutive_failures(), gate.sheds);
         let reason = format!(
             "tenant '{}' over its in-flight chunk budget ({pending}/{}): chunk shed",
             key.tenant, self.config.queue_capacity
@@ -1008,20 +985,18 @@ impl Daemon {
     /// from `(jitter_seed, tenant, total sheds)` exactly like the
     /// resilience layer's backoff jitter.
     fn retry_after(&self, tenant: &str, consecutive: u32, sheds: u64) -> u64 {
-        let exp = consecutive.saturating_sub(1).min(16);
-        let raw = self
-            .config
-            .base_retry_nanos
-            .saturating_mul(1u64 << exp)
-            .min(self.config.max_retry_nanos);
-        let mixed = mix64(
+        let h = mix64(
             self.config
                 .jitter_seed
                 .wrapping_add(tenant_hash(tenant))
                 .wrapping_add(sheds),
         );
-        let frac = (mixed >> 11) as f64 / (1u64 << 53) as f64;
-        ((raw as f64) * (0.5 + frac)) as u64
+        jittered_backoff_nanos(
+            self.config.base_retry_nanos,
+            self.config.max_retry_nanos,
+            consecutive.saturating_sub(1).min(16),
+            h,
+        )
     }
 
     /// Publishes the tenant's breaker-state and queue-depth gauges and
@@ -1046,19 +1021,8 @@ impl Daemon {
 
     /// An accepted observe is a success signal for the tenant's breaker.
     fn note_accepted(&self, inner: &mut Inner, tenant: &str) {
-        let Some(gate) = inner.tenants.get_mut(tenant) else {
-            return;
-        };
-        match gate.state {
-            CircuitState::Closed => gate.consecutive_overflows = 0,
-            CircuitState::HalfOpen => {
-                gate.half_open_successes += 1;
-                if gate.half_open_successes >= self.config.breaker.half_open_successes {
-                    gate.state = CircuitState::Closed;
-                    gate.consecutive_overflows = 0;
-                }
-            }
-            CircuitState::Open => {}
+        if let Some(gate) = inner.tenants.get_mut(tenant) {
+            gate.breaker.on_success(&self.config.breaker);
         }
     }
 
@@ -1189,7 +1153,7 @@ mod tests {
     use lvp_core::{MonitorPolicy, PerformancePredictor, PredictorConfig};
     use lvp_corruptions::standard_tabular_suite;
     use lvp_dataframe::toy_frame;
-    use lvp_models::train_logistic_regression;
+    use lvp_models::{train_model, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1199,7 +1163,7 @@ mod tests {
         let (train, rest) = df.split_frac(0.4, &mut rng);
         let (test, _serving) = rest.split_frac(0.5, &mut rng);
         let model: Arc<dyn BlackBoxModel> =
-            Arc::from(train_logistic_regression(&train, &mut rng).unwrap());
+            Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
         let gens = standard_tabular_suite(test.schema());
         let predictor = PerformancePredictor::fit(
             Arc::clone(&model),

@@ -12,6 +12,7 @@
 //!
 //! Run with `cargo run --release --example deploy_restore`.
 
+use lvp::models::{train_model, ModelKind};
 use lvp::prelude::*;
 use lvp_core::{
     load_json, save_json, BatchMonitor, MonitorArtifact, MonitorPolicy, PredictorArtifact,
@@ -31,7 +32,7 @@ fn main() {
     let (source, serving) = df.split_frac(0.5, &mut rng);
     let (train, test) = source.split_frac(0.75, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_gbdt(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Xgb, &train, &mut rng).unwrap());
     let errors = lvp::corruptions::standard_tabular_suite(test.schema());
     let predictor = PerformancePredictor::fit(
         Arc::clone(&model),

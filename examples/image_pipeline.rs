@@ -5,6 +5,7 @@
 //!
 //! Run with `cargo run --release --example image_pipeline`.
 
+use lvp::models::{train_model, ModelKind};
 use lvp::prelude::*;
 use lvp_corruptions::{ImageNoise, ImageRotation};
 use rand::rngs::StdRng;
@@ -19,7 +20,7 @@ fn main() {
     let (source, serving) = df.split_frac(0.5, &mut rng);
     let (train, test) = source.split_frac(0.75, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_convnet(&train, false, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Conv, &train, &mut rng).unwrap());
     println!(
         "held-out test accuracy: {:.3}",
         lvp::models::model_accuracy(model.as_ref(), &test)

@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use lvp::models::{train_model, ModelKind};
 use lvp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +21,7 @@ fn main() {
 
     // 2. A black box model: we can only call predict_proba on it.
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     let test_accuracy = lvp::models::model_accuracy(model.as_ref(), &test);
     println!("model test accuracy: {test_accuracy:.3}");
 

@@ -6,6 +6,7 @@
 //!
 //! Run with `cargo run --release --example troll_detection`.
 
+use lvp::models::{train_model, ModelKind};
 use lvp::prelude::*;
 use lvp_corruptions::AdversarialLeetspeak;
 use rand::rngs::StdRng;
@@ -20,7 +21,7 @@ fn main() {
     let (source, serving) = df.split_frac(0.5, &mut rng);
     let (train, test) = source.split_frac(0.75, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     println!(
         "held-out test accuracy: {:.3}",
         lvp::models::model_accuracy(model.as_ref(), &test)

@@ -24,6 +24,7 @@
 //! ## Quickstart
 //!
 //! ```no_run
+//! use lvp::models::{train_model, ModelKind};
 //! use lvp::prelude::*;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -33,7 +34,7 @@
 //! let (source, serving) = df.split_frac(0.5, &mut rng);
 //! let (train, test) = source.split_frac(0.8, &mut rng);
 //! let model: std::sync::Arc<dyn BlackBoxModel> =
-//!     std::sync::Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+//!     std::sync::Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
 //!
 //! // 2. Specify the error types we may see in production.
 //! let errors = lvp::corruptions::standard_tabular_suite(test.schema());

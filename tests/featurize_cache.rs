@@ -6,7 +6,7 @@ use lvp_core::{prediction_statistics, BatchSketch};
 use lvp_corruptions::{extended_tabular_suite, standard_tabular_suite};
 use lvp_dataframe::{CellValue, ColumnType, DataFrameBuilder, Field, Schema};
 use lvp_featurize::{EncodingCache, FeaturePipeline, PipelineConfig};
-use lvp_models::train_logistic_regression;
+use lvp_models::{train_model, ModelKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,7 +79,7 @@ proptest! {
     ) {
         let df = build_frame(&nums, &cats);
         let mut rng = StdRng::seed_from_u64(seed);
-        let model = train_logistic_regression(&df, &mut rng).unwrap();
+        let model = train_model(ModelKind::Lr, &df, &mut rng).unwrap();
         let mut gens = standard_tabular_suite(df.schema());
         gens.extend(extended_tabular_suite(df.schema()));
         for gen in gens {

@@ -2,6 +2,7 @@
 //! predictor, validator and monitor, plus the input contract every serving
 //! entry point enforces (schema fingerprint + class count).
 
+use lvp::models::{train_model, ModelKind};
 use lvp::prelude::*;
 use lvp_core::{
     from_json, to_json, BatchMonitor, MonitorArtifact, MonitorPolicy, PredictorArtifact,
@@ -20,7 +21,7 @@ fn setup(seed: u64) -> (Arc<dyn BlackBoxModel>, DataFrame, DataFrame) {
     let (train, rest) = df.split_frac(0.4, &mut rng);
     let (test, serving) = rest.split_frac(0.5, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp::models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     (model, test, serving)
 }
 

@@ -6,7 +6,7 @@ use lvp_core::{BatchMonitor, BatchSketch, MonitorPolicy, PerformancePredictor, P
 use lvp_corruptions::standard_tabular_suite;
 use lvp_dataframe::toy_frame;
 use lvp_linalg::DenseMatrix;
-use lvp_models::BlackBoxModel;
+use lvp_models::{train_model, BlackBoxModel, ModelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -59,7 +59,7 @@ fn fitted_monitor() -> (BatchMonitor, lvp_dataframe::DataFrame) {
     let (train, rest) = df.split_frac(0.4, &mut rng);
     let (test, serving) = rest.split_frac(0.5, &mut rng);
     let model: Arc<dyn BlackBoxModel> =
-        Arc::from(lvp_models::train_logistic_regression(&train, &mut rng).unwrap());
+        Arc::from(train_model(ModelKind::Lr, &train, &mut rng).unwrap());
     let gens = standard_tabular_suite(test.schema());
     let predictor =
         PerformancePredictor::fit(model, &test, &gens, &PredictorConfig::fast(), &mut rng).unwrap();
